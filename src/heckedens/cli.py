@@ -54,18 +54,7 @@ def _resolve_settings(args) -> dict:
         or os.environ.get("HECKE_CACHE_DIR")
         or "./cache"
     )
-    threads = (
-        getattr(args, "threads", None)
-        or cfg.get("threads")
-        or os.environ.get("HECKE_THREADS")
-        or "1"
-    )
-    threads = int(threads)
-    if threads < 1:
-        raise ValueError("thread budget must be >= 1")
-    # the budget caps concurrency; current kernels are single-threaded, so it
-    # is validated and carried but never exceeded
-    return {"cache_dir": cache_dir, "threads": threads}
+    return {"cache_dir": cache_dir}
 
 
 def _frac_fields(f: Fraction, prefix: str = "") -> dict:
@@ -212,7 +201,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="heckedens", description=__doc__)
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--cache-dir", dest="cache_dir")
-    parser.add_argument("--threads", type=int)
     parser.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     parser.add_argument("--no-timestamp", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)

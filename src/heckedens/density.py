@@ -10,12 +10,23 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError
-from .matcount import count_trace_det, trace_det_counts_for_det
+from .matcount import (
+    capped_valuations,
+    count_trace_det,
+    discriminant_classes,
+    pow_mod_array,
+    trace_det_counts_for_det,
+)
 from .modring import PrimePower, mult_order
 from .series import SUPPORTED_WEIGHTS
 from .tower import GENERIC_CAVEAT, generic_L_degree
 
-ROOT_SCAN_MAX = 10 ** 6
+# budget on the cells the root and count enumerations touch (see
+# density_cells).  Near it, (12,4) mod 47^3 took 0.5 s and 54 MB peak RSS on
+# a 2-core numpy host.  It also keeps q, and so q^2, inside int64.
+DENSITY_CELLS_MAX = 10 ** 7
+# root candidates per block of units in root_cells
+_BLOCK_CELLS = 1 << 13
 
 # envelope constants fitted on the exhaustive desk-scale grid, not proven
 FITTED_UV_SHAPE = 5        # |delta_uv(ell) * ell^2 - 1| <= 5/ell
@@ -88,31 +99,76 @@ def gamma_roots(u: int, params: LiftParams, pp: PrimePower) -> GammaRoots:
     return GammaRoots(pp, u, params, g)
 
 
-def _root_mask(gamma: tuple[int, ...], pp: PrimePower) -> np.ndarray:
-    """Boolean mask over w in [0, q) of prod_i (w - gamma_i) = 0 mod q,
-    via capped valuations: sum_i min(nu(w - gamma_i), m) >= m."""
+def _ball_exponent(params: LiftParams, pp: PrimePower) -> int:
+    """s = ceil(2m/n): every root of g_u is within ell^s of some gamma_i."""
+    return -(-2 * pp.m // params.n)
+
+
+def density_cells(params: LiftParams, pp: PrimePower, n_units: int) -> int:
+    """Cells touched for n_units units: the O(q m) valuation and class
+    tables, (n/2) ell^(m-s) root candidates per unit, and for ell = 2 one
+    O(q m) trace sweep per unit."""
     q, ell, m = pp.q, pp.ell, pp.m
-    w = np.arange(q, dtype=np.int64)
-    total = np.zeros(q, dtype=np.int64)
-    for g in gamma:
-        rem = (w - g) % q
-        v = np.zeros(q, dtype=np.int64)
-        active = np.ones(q, dtype=bool)
-        for _ in range(m):
-            active &= rem % ell == 0
-            v[active] += 1
-            rem[active] //= ell
+    cells = q * m + n_units * (params.n // 2) * ell ** (m - _ball_exponent(params, pp))
+    if ell == 2:
+        cells += n_units * q * m
+    return cells
+
+
+def root_cells(
+    params: LiftParams, pp: PrimePower, units: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every root w of g_u for each unit u (default: all units mod q), as
+    parallel arrays (u, w) ordered by u, each root once.
+
+    w is a root iff sum_i min(nu(w - gamma_i), m) >= m, so some
+    nu(w - gamma_i) >= s = ceil(2m/n) and w lies in one of the n/2 balls
+    gamma_i + ell^s Z/q.  Only those ell^(m-s) candidates per ball are
+    tested, and a candidate inside an earlier ball is dropped.  Units go in
+    blocks of about _BLOCK_CELLS candidates, which bounds the temporaries.
+    """
+    cells = density_cells(params, pp, pp.phi if units is None else len(units))
+    if cells > DENSITY_CELLS_MAX:
+        raise CapacityError(
+            f"lift {params.k, params.n} mod {pp} needs {cells} cells > {DENSITY_CELLS_MAX}"
+        )
+    if units is None:
+        units = np.flatnonzero(np.arange(pp.q) % pp.ell)
+    step = max(1, _BLOCK_CELLS // (params.n // 2 * pp.ell ** (pp.m - _ball_exponent(params, pp))))
+    us, ws = [units[:0]], [units[:0]]
+    for i in range(0, len(units), step):
+        u, w = _ball_roots(params, pp, units[i : i + step])
+        us.append(u)
+        ws.append(w)
+    return np.concatenate(us), np.concatenate(ws)
+
+
+def _ball_roots(params: LiftParams, pp: PrimePower, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    q, ell, m = pp.q, pp.ell, pp.m
+    k, n, s = params.k, params.n, _ball_exponent(params, pp)
+    h = n // 2
+    gamma = np.stack(
+        [-(pow_mod_array(units, k - i, q) + pow_mod_array(units, k - n - 1 + i, q)) % q
+         for i in range(1, h + 1)],
+        axis=1,
+    )
+    w = (gamma[:, :, None] + ell ** s * np.arange(ell ** (m - s), dtype=np.int64)) % q
+    vals = capped_valuations(ell, m)
+    total = np.zeros(w.shape, dtype=np.int16)
+    earlier = np.zeros(w.shape, dtype=bool)
+    ball = np.arange(h)[:, None]
+    for j in range(h):
+        v = vals[(w - gamma[:, j, None, None]) % q]
         total += v
-    return total >= m
+        earlier |= (v >= s) & (j < ball)
+    keep = (total >= m) & ~earlier
+    return np.broadcast_to(units[:, None, None], w.shape)[keep], w[keep]
 
 
 def g_u_root_count(u: int, params: LiftParams, pp: PrimePower) -> tuple[np.ndarray, int]:
-    """All w mod q with g_u(w) = 0, found by scanning every residue."""
-    if pp.q > ROOT_SCAN_MAX:
-        raise CapacityError(f"root scan limited to q <= {ROOT_SCAN_MAX}")
-    gr = gamma_roots(u, params, pp)
-    mask = _root_mask(gr.gamma, pp)
-    roots = np.flatnonzero(mask)
+    """All w mod q with g_u(w) = 0, sorted, and their number."""
+    u = gamma_roots(u, params, pp).u
+    roots = np.sort(root_cells(params, pp, np.array([u], dtype=np.int64))[1])
     return roots, int(len(roots))
 
 
@@ -121,13 +177,8 @@ def sum_Ngu(params: LiftParams, ell: int) -> dict:
     the small-order accounting that controls the deficit from n/2 per u."""
     pp = PrimePower(ell, 1)
     n = params.n
-    total = 0
-    small_order = 0
-    for u in range(1, ell):
-        _, cnt = g_u_root_count(u, params, pp)
-        total += cnt
-        if mult_order(u, pp) <= n:
-            small_order += 1
+    total = len(root_cells(params, pp)[1])
+    small_order = sum(mult_order(u, pp) <= n for u in range(1, ell))
     if small_order > n * n:
         raise AssertionError(f"small-order unit count {small_order} exceeds n^2 = {n*n}")
     return {
@@ -166,22 +217,29 @@ def delta_F_generic(params: LiftParams, pp: PrimePower) -> DensityReport:
     The determinant exponent uses the source-form weight 2k - n (the
     representation attached to f has det = p^(2k-n-1)); the gamma exponents
     use the Siegel weight k.  Both weights are exposed on LiftParams.
+
+    Cost O(q m + phi(q) (n/2) ell^(m - ceil(2m/n))): root_cells enumerates
+    the candidates, and for odd ell each root's count is a lookup in the
+    discriminant-class table; ell = 2 adds one O(q m) trace sweep per unit.
+    Inputs above DENSITY_CELLS_MAX cells raise CapacityError before any
+    array is built.
     """
-    if pp.q > ROOT_SCAN_MAX:
-        raise CapacityError(f"root scan limited to q <= {ROOT_SCAN_MAX}")
     wf = params.source_weight
     q, ell, m = pp.q, pp.ell, pp.m
+    u, w = root_cells(params, pp)
     den = generic_L_degree(wf, ell, m)
-    num = 0
-    for u in range(1, q):
-        if u % ell == 0:
-            continue
-        roots, cnt = g_u_root_count(u, params, pp)
-        if cnt == 0:
-            continue
-        d_u = pow(u, wf - 1, q)
-        counts_t = trace_det_counts_for_det(pp, d_u)
-        num += int(counts_t[roots].sum())
+    if ell == 2:
+        # no discriminant classes without 1/2: one trace sweep per unit
+        units, first = np.unique(u, return_index=True)
+        num = sum(
+            int(trace_det_counts_for_det(pp, pow(int(uu), wf - 1, q))[ww].sum())
+            for uu, ww in zip(units, np.split(w, first[1:]))
+        )
+    else:
+        cls, values = discriminant_classes(ell, m)
+        d = pow_mod_array(u, wf - 1, q)
+        hist = np.bincount(cls[(w * w - 4 * d) % q], minlength=len(values))
+        num = sum(int(c) * v for c, v in zip(hist, values))
     delta = Fraction(num, den)
     n = params.n
     if n == 2:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .density import DensityReport, LiftParams, delta_F_generic, g_u_root_count
+from .density import DensityReport, LiftParams, delta_F_generic, root_cells
 from .errors import CapacityError
 from .matcount import trace_det_counts_for_det
 from .modring import PrimePower
@@ -145,7 +145,7 @@ def scan_pi_F(
 ) -> ScanResult:
     """#{p <= x, p != ell : lambda_F(p) = 0 mod q}, counted directly from the
     product formula and cross-counted through the root set of g_u."""
-    q, ell = pp.q, pp.ell
+    q = pp.q
     if q > TABLE_MAX_Q:
         raise CapacityError(f"scan needs ell^m <= {TABLE_MAX_Q}, got {q}")
     primes = _scan_primes(pp, x)
@@ -165,11 +165,7 @@ def scan_pi_F(
     direct = int(np.sum(lam == 0))
     # root-set reduction: lambda vanishes iff a_f(p) hits a root of g_(p mod q)
     root_mask = np.zeros((q, q), dtype=bool)
-    for uu in range(1, q):
-        if uu % ell == 0:
-            continue
-        roots, _ = g_u_root_count(uu, params, pp)
-        root_mask[uu, roots] = True
+    root_mask[root_cells(params, pp)] = True
     rootset = int(np.sum(root_mask[u, a]))
     report = delta_F_generic(params, pp)
     pi_x = len(primes)

@@ -110,24 +110,71 @@ def z_bound_check(pp: PrimePower, t: int, d: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# vectorized all-trace sweeps, used by the density module and the exhaustive
-# acceptance checks; for a unit a the valuation of a^2 - a t + d equals the
-# valuation of (a + d/a) - t, and for a non-unit a it is zero
+# vectorized all-trace counts.  For odd ell they are gathers from a table
+# over discriminants; ell = 2 keeps the sweep over a, where for a unit a the
+# valuation of a^2 - a t + d equals the valuation of (a + d/a) - t, and for
+# a non-unit a it is zero
+
+
+def pow_mod_array(base: np.ndarray, e: int, q: int) -> np.ndarray:
+    """Elementwise base^e mod q by squaring; needs q^2 < 2^63."""
+    out = np.ones_like(base)
+    base = base % q
+    while e > 0:
+        if e & 1:
+            out = out * base % q
+        base = base * base % q
+        e >>= 1
+    return out
+
+
+@lru_cache(maxsize=16)
+def capped_valuations(ell: int, m: int) -> np.ndarray:
+    """Read-only int8 vector over x in [0, ell^m) of min(nu_ell(x), m)."""
+    q = ell ** m
+    v = np.zeros(q, dtype=np.int8)
+    for j in range(1, m + 1):
+        v[:: ell ** j] += 1
+    v.flags.writeable = False
+    return v
+
+
+@lru_cache(maxsize=16)
+def discriminant_classes(ell: int, m: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """For odd ell: (cls, values) with count_trace_det(t, d) = values[cls[D]]
+    for D = t^2 - 4d mod q.
+
+    4(a^2 - a t + d) = (2a - t)^2 - D and s -> c s (c a unit) turn the
+    z-profile into that of s^2 - D, invariant under D -> c^2 D.  So the count
+    depends only on v = min(nu(D), m) and, for v < m, on the square class of
+    D / ell^v mod ell: class 2v for a square, 2v + 1 otherwise, 2m for D = 0.
+    Each class value is count_trace_det at one representative: t = 0,
+    d = -D/4 for v = 0 and t = 2, d = 1 - D/4 for v >= 1.
+    """
+    if ell == 2:
+        raise ValueError("discriminant classes need odd ell")
+    q = ell ** m
+    pp = PrimePower(ell, m)
+    v = capped_valuations(ell, m).astype(np.int64)
+    unit_part = np.arange(q, dtype=np.int64) // ell ** np.minimum(v, m - 1) % ell
+    square = np.zeros(ell, dtype=bool)
+    square[np.arange(1, ell) ** 2 % ell] = True
+    cls = np.where(v == m, 2 * m, 2 * v + ~square[unit_part]).astype(np.int8)
+    cls.flags.writeable = False
+    nonsquare = int(np.flatnonzero(~square[1:])[0]) + 1
+    inv4 = pow(4, -1, q)
+    values = []
+    for j in range(2 * m + 1):
+        D = 0 if j == 2 * m else ell ** (j // 2) * (nonsquare if j % 2 else 1)
+        t, d = (0, -D * inv4) if j < 2 else (2, 1 - D * inv4)
+        values.append(count_trace_det(pp, t, d).count)
+    return cls, tuple(values)
 
 
 def _units_and_inverses(pp: PrimePower) -> tuple[np.ndarray, np.ndarray]:
-    q, ell = pp.q, pp.ell
-    a = np.arange(q, dtype=np.int64)
-    units = a[a % ell != 0]
-    inv = np.ones_like(units)
-    base = units.copy()
-    e = pp.phi - 1
-    while e > 0:
-        if e & 1:
-            inv = inv * base % q
-        base = base * base % q
-        e >>= 1
-    return units, inv
+    a = np.arange(pp.q, dtype=np.int64)
+    units = a[a % pp.ell != 0]
+    return units, pow_mod_array(units, pp.phi - 1, pp.q)
 
 
 def z_profiles_for_det(pp: PrimePower, d: int) -> np.ndarray:
@@ -152,7 +199,13 @@ def z_profiles_for_det(pp: PrimePower, d: int) -> np.ndarray:
 
 
 def trace_det_counts_for_det(pp: PrimePower, d: int) -> np.ndarray:
-    """Length-q vector of count_trace_det(pp, t, d) over all traces t."""
+    """Length-q vector of count_trace_det(pp, t, d) over all traces t: a
+    gather from the discriminant classes for odd ell, a sweep for ell = 2."""
+    if pp.ell != 2:
+        d = _require_unit(pp, d)
+        cls, values = discriminant_classes(pp.ell, pp.m)
+        t = np.arange(pp.q, dtype=np.int64)
+        return np.array(values, dtype=np.int64)[cls[(t * t - 4 * d) % pp.q]]
     z = z_profiles_for_det(pp, d)
     phi, q, m = pp.phi, pp.q, pp.m
     weights = np.array([(j + 1) * phi for j in range(m)] + [m * phi + q], dtype=np.int64)

@@ -263,16 +263,17 @@ def eisenstein(weight: int, X: int, modulus: PrimePower | None) -> SeriesModQ:
     if weight not in _EIS_FACTOR:
         raise ValueError(f"Eisenstein weight must be 4 or 6, got {weight}")
     c, e = _EIS_FACTOR[weight]
-    if modulus is None:
+    if modulus is None or modulus.q >= 2 ** 31:
+        # the int64 sieve squares residues below q, so q >= 2^31 takes Python ints
         if X > EXACT_MAX_X:
-            raise CapacityError(f"exact mode limited to X <= {EXACT_MAX_X}")
+            raise CapacityError(f"exact mode and q >= 2^31 limited to X <= {EXACT_MAX_X}")
         sig = [0] * (X + 1)
         for d in range(1, X + 1):
             de = d ** e
             for n in range(d, X + 1, d):
                 sig[n] += de
         out = [1] + [c * s for s in sig[1:]]
-        return SeriesModQ(None, out)
+        return SeriesModQ(None, out) if modulus is None else new_series(modulus, out)
     q = modulus.q
     sig = kernels.sigma_pow_sieve(X, e, q)
     out = c % q * sig % q

@@ -1,19 +1,24 @@
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
 
+from heckedens import density
 from heckedens.density import (
+    DENSITY_CELLS_MAX,
     LiftParams,
     delta_F_generic,
     delta_uv_generic,
     g_u_root_count,
     gamma_roots,
     partitions_stat,
+    root_cells,
     sum_Ngu,
 )
+from heckedens.errors import CapacityError
+from heckedens.matcount import count_trace_det
 from heckedens.modring import PrimePower, mult_order
 from heckedens.primes import primes_in
 from heckedens.tower import generic_L_degree
@@ -69,6 +74,89 @@ def test_g_u_root_count_against_direct_product():
             )
             roots, n = g_u_root_count(u, params, pp)
             assert sorted(roots.tolist()) == expect and n == len(expect)
+
+
+def _root_mask(gamma, pp):
+    """Oracle: boolean mask over every w in [0, q) of prod_i (w - gamma_i) = 0
+    mod q, via capped valuations: sum_i min(nu(w - gamma_i), m) >= m."""
+    q, ell, m = pp.q, pp.ell, pp.m
+    w = np.arange(q, dtype=np.int64)
+    total = np.zeros(q, dtype=np.int64)
+    for g in gamma:
+        rem = (w - g) % q
+        v = np.zeros(q, dtype=np.int64)
+        active = np.ones(q, dtype=bool)
+        for _ in range(m):
+            active &= rem % ell == 0
+            v[active] += 1
+            rem[active] //= ell
+        total += v
+    return total >= m
+
+
+def test_ball_roots_match_scan_oracle():
+    for k, n in ((10, 2), (12, 4), (16, 6)):
+        params = LiftParams(k, n)
+        for ell, m in ((2, 3), (3, 3), (7, 2), (5, 3), (7, 3)):
+            pp = PrimePower(ell, m)
+            all_u, all_w = root_cells(params, pp)
+            expect_u, expect_w = [], []
+            for u in range(1, pp.q):
+                if u % ell == 0:
+                    continue
+                expect = np.flatnonzero(_root_mask(gamma_roots(u, params, pp).gamma, pp))
+                roots, cnt = g_u_root_count(u, params, pp)
+                assert roots.tolist() == expect.tolist() and cnt == len(expect)
+                expect_u += [u] * cnt
+                expect_w += expect.tolist()
+            assert all_u.tolist() == expect_u
+            assert sorted(zip(all_u.tolist(), all_w.tolist())) == list(zip(expect_u, expect_w))
+
+
+def _lift_roots(gammas, ell, m):
+    """Roots of prod(w - gamma_i) mod ell^m, lifted digit by digit."""
+    def g(w):
+        return prod(w - c for c in gammas)
+
+    roots = [w for w in range(ell) if g(w) % ell == 0]
+    mod = ell
+    for _ in range(1, m):
+        roots = [r + t * mod for r in roots for t in range(ell) if g(r + t * mod) % (mod * ell) == 0]
+        mod *= ell
+    return roots
+
+
+def test_delta_F_against_digit_lifting():
+    for k, n in ((10, 2), (12, 4), (16, 6)):
+        params = LiftParams(k, n)
+        for ell, m in ((17, 2), (7, 3), (19, 2)):
+            pp = PrimePower(ell, m)
+            q = pp.q
+            num = 0
+            for u in range(1, q):
+                if u % ell == 0:
+                    continue
+                d = pow(u, 2 * k - n - 1, q)
+                for w in _lift_roots(gamma_roots(u, params, pp).gamma, ell, m):
+                    num += count_trace_det(pp, w, d).count
+            expect = Fraction(num, generic_L_degree(2 * k - n, ell, m))
+            assert delta_F_generic(params, pp).delta_exact == expect
+
+
+def test_density_guard_refuses_before_building(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("array built before the capacity check")
+
+    for name in ("capped_valuations", "discriminant_classes", "pow_mod_array"):
+        monkeypatch.setattr(density, name, unexpected)
+    params, pp = LiftParams(12, 4), PrimePower(3, 12)
+    assert density.density_cells(params, pp, pp.phi) > 5 * 10 ** 8 > DENSITY_CELLS_MAX
+    with pytest.raises(CapacityError):
+        delta_F_generic(params, pp)
+    with pytest.raises(CapacityError):
+        root_cells(params, pp)
+    # q <= DENSITY_CELLS_MAX, so t^2 and w^2 stay inside int64
+    assert DENSITY_CELLS_MAX ** 2 < 2 ** 63
 
 
 def test_root_count_bound_and_equality_cases():

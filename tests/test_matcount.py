@@ -6,8 +6,11 @@ import pytest
 
 from heckedens.errors import CapacityError
 from heckedens.matcount import (
+    BRUTE_MAX,
+    _brute_table,
     count_trace_det,
     count_trace_det_brute,
+    discriminant_classes,
     trace_det_counts_for_det,
     z_bound_check,
     z_profile,
@@ -125,6 +128,24 @@ def test_vectorized_sweeps_match_direct():
             for t in range(pp.q):
                 assert tuple(int(v) for v in zmat[:, t]) == z_profile(pp, t, d).counts
                 assert int(cvec[t]) == count_trace_det(pp, t, d).count
+
+
+def test_discriminant_gather_matches_count_and_brute():
+    for ell, m in ((3, 1), (5, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (11, 2), (5, 3)):
+        pp = PrimePower(ell, m)
+        q = pp.q
+        cls, values = discriminant_classes(ell, m)
+        assert len(values) == 2 * m + 1
+        c = np.array(values, dtype=np.int64)[cls]
+        t = np.arange(q)
+        brute = _brute_table(ell, m) if q ** 4 <= BRUTE_MAX else None
+        for d in range(1, q):
+            if d % ell == 0:
+                continue
+            gathered = c[(t * t - 4 * d) % q]
+            assert gathered.tolist() == [count_trace_det(pp, tt, d).count for tt in range(q)]
+            if brute is not None:
+                assert gathered.tolist() == brute[:, d].tolist()
 
 
 def test_non_unit_rejected():

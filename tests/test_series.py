@@ -206,6 +206,21 @@ def test_eigenform_modular_matches_exact():
             assert all(mod[i] == exact[w][i] % pp.q for i in range(X + 1))
 
 
+def test_eigenform_modular_matches_exact_large_q():
+    # q >= 2^31 builds the Eisenstein factors in Python ints; int64 residues
+    # near q would overflow when squared
+    rng = np.random.default_rng(31)
+    for ell, m in ((3, 30), (5, 20), (47, 8), (2, 40)):
+        pp = PrimePower(ell, m)
+        for w in rng.choice((16, 18, 20, 22, 26), size=2, replace=False).tolist():
+            X = int(rng.integers(50, 301))
+            mod = eigenform_coeffs(w, X, pp)
+            exact = eigenform_coeffs(w, X, None)
+            assert [int(v) for v in mod.coeffs] == [v % pp.q for v in exact.coeffs]
+    with pytest.raises(CapacityError):
+        eisenstein(4, EXACT_MAX_X + 1, PrimePower(3, 30))
+
+
 def test_eigenform_guards():
     with pytest.raises(ValueError):
         eigenform_coeffs(14, 10, PrimePower(5, 1))
