@@ -24,7 +24,7 @@ from .matcount import (
     z_bound_check,
     z_profile,
 )
-from .modring import ExactRational, PrimePower, Residue, euler_phi, gcd, mult_order, pow_mod, val_ell
+from .modring import ExactRational, PrimePower, mult_order, val_ell
 from .primes import prime_count, primes_in
 from .series import SeriesModQ, eigenform_coeffs, eisenstein, eta_cubed_exponents, new_series, series_mul, series_mul_naive
 from .tower import (

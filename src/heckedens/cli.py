@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -22,6 +21,7 @@ from .errors import CapacityError
 from .experiment import scan_pi_F, scan_pi_f
 from .matcount import count_trace_det, count_trace_det_brute, z_profile
 from .modring import PrimePower
+from .series import cache_dir_from_env
 from .tower import tower_report
 
 
@@ -47,14 +47,8 @@ def _read_config(path: str) -> dict[str, str]:
 
 def _resolve_settings(args) -> dict:
     """Precedence: flags > config file > environment > defaults."""
-    cfg = _read_config(args.config) if getattr(args, "config", None) else {}
-    cache_dir = (
-        getattr(args, "cache_dir", None)
-        or cfg.get("cache_dir")
-        or os.environ.get("HECKE_CACHE_DIR")
-        or "./cache"
-    )
-    return {"cache_dir": cache_dir}
+    cfg = _read_config(args.config) if args.config else {}
+    return {"cache_dir": cache_dir_from_env(args.cache_dir or cfg.get("cache_dir"))}
 
 
 def _frac_fields(f: Fraction, prefix: str = "") -> dict:
@@ -201,7 +195,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="heckedens", description=__doc__)
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--cache-dir", dest="cache_dir")
-    parser.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
+    parser.add_argument("--format", choices=("plain", "json"), default="plain")
     parser.add_argument("--no-timestamp", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,29 +1,11 @@
-"""Hot numeric kernels: numba-jitted loops with pure-numpy fallbacks.
-
-Set HECKE_PURE_NUMPY=1 to force the numpy path (also taken automatically
-when numba is not importable).  Both variants of every kernel are exported
-so tests and benchmarks/bench_kernels.py can compare them directly.
-"""
+"""Hot numeric kernels, vectorized with numpy."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_flag = os.environ.get("HECKE_PURE_NUMPY", "").strip().lower()
-FORCE_NUMPY = _flag not in ("", "0", "false", "no")
-
-try:
-    if FORCE_NUMPY:
-        raise ImportError("numpy path forced by HECKE_PURE_NUMPY")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
+# the only kernel set; kept as a constant because perfbench/run.py prints it
+BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -33,34 +15,6 @@ BACKEND = "numba" if HAVE_NUMBA else "numpy"
 # wtab: int64 array of the n/2 powers w^0..w^(n/2-1) of a primitive n-th
 #       root of unity w mod p
 # p: transform prime < 2^31 so every product below fits in int64
-
-
-def _ntt_loop(a, wtab, p):
-    n = a.shape[0]
-    j = 0
-    for i in range(1, n):
-        bit = n >> 1
-        while j & bit:
-            j ^= bit
-            bit >>= 1
-        j |= bit
-        if i < j:
-            t = a[i]
-            a[i] = a[j]
-            a[j] = t
-    length = 2
-    while length <= n:
-        half = length >> 1
-        step = n // length
-        for start in range(0, n, length):
-            idx = 0
-            for i in range(start, start + half):
-                u = a[i]
-                v = (a[i + half] * wtab[idx]) % p
-                a[i] = (u + v) % p
-                a[i + half] = (u - v) % p
-                idx += step
-        length <<= 1
 
 
 _bitrev_cache: dict[int, np.ndarray] = {}
@@ -78,8 +32,8 @@ def _bitrev_indices(n: int) -> np.ndarray:
     return idx
 
 
-def ntt_inplace_numpy(a, wtab, p):
-    """Vectorized stage-by-stage transform; same contract as the jit loop."""
+def ntt_inplace(a, wtab, p):
+    """Bit-reversal permutation, then one vectorized butterfly pass per stage."""
     n = a.shape[0]
     a[:] = a[_bitrev_indices(n)]
     half = 1
@@ -94,38 +48,11 @@ def ntt_inplace_numpy(a, wtab, p):
         half *= 2
 
 
-if HAVE_NUMBA:
-    ntt_inplace_numba = njit(cache=True)(_ntt_loop)
-    ntt_inplace = ntt_inplace_numba
-else:
-    ntt_inplace_numba = None
-    ntt_inplace = ntt_inplace_numpy
-
-
 # ---------------------------------------------------------------------------
 # divisor power sums: sigma[n] = sum_{d | n} d^e mod q, for 1 <= n <= X
 
 
-def _sigma_loop(X, e, q):
-    out = np.zeros(X + 1, dtype=np.int64)
-    for d in range(1, X + 1):
-        # d^e mod q by squaring
-        t = 1
-        b = d % q
-        ee = e
-        while ee > 0:
-            if ee & 1:
-                t = (t * b) % q
-            b = (b * b) % q
-            ee >>= 1
-        for n in range(d, X + 1, d):
-            out[n] += t
-    for n in range(X + 1):
-        out[n] %= q
-    return out
-
-
-def sigma_pow_sieve_numpy(X, e, q):
+def sigma_pow_sieve(X, e, q):
     out = np.zeros(X + 1, dtype=np.int64)
     d = np.arange(X + 1, dtype=np.int64)
     # vectorized d^e mod q by squaring
@@ -145,38 +72,11 @@ def sigma_pow_sieve_numpy(X, e, q):
     return out
 
 
-if HAVE_NUMBA:
-    sigma_pow_sieve_numba = njit(cache=True)(_sigma_loop)
-    sigma_pow_sieve = sigma_pow_sieve_numba
-else:
-    sigma_pow_sieve_numba = None
-    sigma_pow_sieve = sigma_pow_sieve_numpy
-
-
 # ---------------------------------------------------------------------------
 # dense square of a sparse series: out[e_i + e_j] += c_i * c_j, truncated
 
 
-def _sparse_square_loop(exps, coefs, X, q):
-    out = np.zeros(X + 1, dtype=np.int64)
-    k = exps.shape[0]
-    for i in range(k):
-        ei = exps[i]
-        ci = coefs[i]
-        if 2 * ei > X:
-            break
-        out[2 * ei] += ci * ci
-        for j in range(i + 1, k):
-            e = ei + exps[j]
-            if e > X:
-                break
-            out[e] += 2 * ci * coefs[j]
-    for n in range(X + 1):
-        out[n] %= q
-    return out
-
-
-def sparse_square_numpy(exps, coefs, X, q):
+def sparse_square(exps, coefs, X, q):
     out = np.zeros(X + 1, dtype=np.int64)
     e = (exps[:, None] + exps[None, :]).ravel()
     v = (coefs[:, None] * coefs[None, :]).ravel()
@@ -184,11 +84,3 @@ def sparse_square_numpy(exps, coefs, X, q):
     np.add.at(out, e[keep], v[keep])
     out %= q
     return out
-
-
-if HAVE_NUMBA:
-    sparse_square_numba = njit(cache=True)(_sparse_square_loop)
-    sparse_square = sparse_square_numba
-else:
-    sparse_square_numba = None
-    sparse_square = sparse_square_numpy

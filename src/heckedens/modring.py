@@ -103,21 +103,6 @@ class PrimePower:
         return f"{self.ell}^{self.m}" if self.m > 1 else str(self.ell)
 
 
-@dataclass(frozen=True)
-class Residue:
-    """Canonical representative of an element of Z/q, 0 <= value < q."""
-
-    value: int
-    modulus: PrimePower
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.modulus.q)
-
-    @property
-    def is_unit(self) -> bool:
-        return self.modulus.is_unit(self.value)
-
-
 def val_ell(x: int, ell: int, cap: int) -> int:
     """min(nu_ell(x), cap); x = 0 (or x divisible by ell^cap) returns cap."""
     if cap < 1:
@@ -131,25 +116,8 @@ def val_ell(x: int, ell: int, cap: int) -> int:
     return v
 
 
-def euler_phi(pp: PrimePower) -> int:
-    return pp.phi
-
-
-def pow_mod(u: int, e: int, pp: PrimePower) -> int:
-    return pow(u, e, pp.q)
-
-
-def gcd(a: int, b: int) -> int:
-    return math.gcd(a, b)
-
-
-def mult_order(u: int | Residue, pp: PrimePower | None = None) -> int:
+def mult_order(u: int, pp: PrimePower) -> int:
     """Smallest r >= 1 with u^r = 1 mod q; divides phi(q)."""
-    if isinstance(u, Residue):
-        pp = u.modulus
-        u = u.value
-    if pp is None:
-        raise TypeError("modulus required when u is an int")
     u %= pp.q
     if u % pp.ell == 0:
         raise ValueError(f"{u} is not a unit mod {pp}")

@@ -255,14 +255,16 @@ def eta_cubed_exponents(X: int) -> tuple[np.ndarray, np.ndarray]:
     return exps, coefs
 
 
-_EIS_FACTOR = {4: (240, 3), 6: (-504, 5)}
+# E_k = 1 + c_k * sum_n sigma_{k-1}(n) q^n with c_k = -2k/B_k, for every
+# k = w - 12 a supported weight w needs
+_EIS_FACTOR = {4: 240, 6: -504, 8: 480, 10: -264, 14: -24}
 
 
 def eisenstein(weight: int, X: int, modulus: PrimePower | None) -> SeriesModQ:
-    """E4 or E6 truncated at X, reduced mod q (or exact)."""
+    """E_k for k in 4, 6, 8, 10, 14, truncated at X, reduced mod q (or exact)."""
     if weight not in _EIS_FACTOR:
-        raise ValueError(f"Eisenstein weight must be 4 or 6, got {weight}")
-    c, e = _EIS_FACTOR[weight]
+        raise ValueError(f"Eisenstein weight must be one of {tuple(_EIS_FACTOR)}, got {weight}")
+    c, e = _EIS_FACTOR[weight], weight - 1
     if modulus is None or modulus.q >= 2 ** 31:
         # the int64 sieve squares residues below q, so q >= 2^31 takes Python ints
         if X > EXACT_MAX_X:
@@ -305,23 +307,12 @@ def _delta(X: int, modulus: PrimePower | None) -> SeriesModQ:
     return SeriesModQ(modulus, shifted)
 
 
-# recipes for the unique normalized eigenform in each one-dimensional space
-_RECIPES = {
-    12: (),
-    16: (4,),
-    18: (6,),
-    20: (4, 4),
-    22: (4, 6),
-    26: (4, 4, 6),
-}
-
-
 def _build_eigenform(weight: int, X: int, modulus: PrimePower | None) -> SeriesModQ:
+    """The unique normalized eigenform of weight w is Delta * E_(w-12)."""
     out = _delta(X, modulus)
-    for w in _RECIPES[weight]:
-        f = eisenstein(w, X, modulus)
-        out = series_mul(out, f) if modulus is not None else series_mul_naive(out, f)
-    return out
+    if weight == 12:
+        return out
+    return series_mul(out, eisenstein(weight - 12, X, modulus))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 from . import matcount, series, tower
 from .density import LiftParams, delta_F_generic, delta_uv_generic, gamma_roots, partitions_stat
 from .experiment import scan_pi_F, scan_pi_f
-from .modring import PrimePower
+from .modring import PrimePower, is_prime
 from .primes import primes_in
 
 QUICK_MODULI = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2))
@@ -25,7 +25,7 @@ FULL_MODULI = QUICK_MODULI + ((2, 4), (3, 3), (7, 2))
 def _prime_powers_up_to(limit: int):
     out = []
     for ell in range(2, limit + 1):
-        if not all(ell % p for p in range(2, int(math.isqrt(ell)) + 1)):
+        if not is_prime(ell):
             continue
         m = 1
         while ell ** m <= limit:

@@ -302,8 +302,7 @@ def test_criterion_11_empirical_chebotarev(scan23, session_cache_dir):
 def test_criterion_12_performance(tmp_path):
     pp = PrimePower(3, 7)
     rng = np.random.default_rng(2187)
-    # warm-up amortizes one-time jit compilation, which the disk cache of
-    # compiled kernels makes a fixed cost, not an algorithmic one
+    # a small product first, so one-time first-call costs stay out of the timed call
     small = new_series(pp, rng.integers(0, pp.q, 1 << 10))
     series_mul(small, small)
 

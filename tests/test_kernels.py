@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -28,24 +24,8 @@ def test_ntt_matches_naive_dft(n):
     assert wtab[1] == w
     ref = _naive_dft(a, w, P)
     got = a.copy()
-    kernels.ntt_inplace_numpy(got, wtab, P)
+    kernels.ntt_inplace(got, wtab, P)
     assert np.array_equal(got, ref)
-    if kernels.HAVE_NUMBA:
-        got2 = a.copy()
-        kernels.ntt_inplace_numba(got2, wtab, P)
-        assert np.array_equal(got2, ref)
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba backend unavailable")
-@pytest.mark.parametrize("n", [8, 256, 1 << 12])
-def test_ntt_backends_agree(n):
-    rng = np.random.default_rng(7 * n)
-    a = rng.integers(0, P, n).astype(np.int64)
-    wtab = _root_power_table(P, G, n)
-    x, y = a.copy(), a.copy()
-    kernels.ntt_inplace_numba(x, wtab, P)
-    kernels.ntt_inplace_numpy(y, wtab, P)
-    assert np.array_equal(x, y)
 
 
 def test_root_power_table():
@@ -64,12 +44,9 @@ def _sigma_direct(n, e, q):
 
 @pytest.mark.parametrize("e,q", [(3, 99991), (5, 2187), (5, 2), (3, 691)])
 def test_sigma_sieve(e, q):
-    out = kernels.sigma_pow_sieve_numpy(200, e, q)
+    out = kernels.sigma_pow_sieve(200, e, q)
     for n in range(1, 201):
         assert out[n] == _sigma_direct(n, e, q)
-    if kernels.HAVE_NUMBA:
-        out2 = kernels.sigma_pow_sieve_numba(200, e, q)
-        assert np.array_equal(out, out2)
 
 
 def test_sparse_square():
@@ -82,25 +59,6 @@ def test_sparse_square():
                 if exps[i] + exps[j] <= 12:
                     ref[exps[i] + exps[j]] += coefs[i] * coefs[j]
         ref %= q
-        got = kernels.sparse_square_numpy(exps, coefs, 12, q)
+        got = kernels.sparse_square(exps, coefs, 12, q)
         assert np.array_equal(got, ref)
-        if kernels.HAVE_NUMBA:
-            got2 = kernels.sparse_square_numba(exps, coefs, 12, q)
-            assert np.array_equal(got2, ref)
 
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, HECKE_PURE_NUMPY="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from heckedens import kernels; print(kernels.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_default_backend_reported():
-    assert kernels.BACKEND in ("numba", "numpy")
-    assert (kernels.BACKEND == "numba") == kernels.HAVE_NUMBA

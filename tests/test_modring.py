@@ -7,13 +7,9 @@ import pytest
 from heckedens.modring import (
     ExactRational,
     PrimePower,
-    Residue,
-    euler_phi,
     factorize,
-    gcd,
     is_prime,
     mult_order,
-    pow_mod,
     val_ell,
 )
 
@@ -46,18 +42,9 @@ def test_prime_power_validation():
     assert PrimePower(2, 62).q == 1 << 62
 
 
-def test_residue_canonical():
-    pp = PrimePower(5, 1)
-    assert Residue(-1, pp).value == 4
-    assert Residue(12, pp).value == 2
-    assert Residue(10, pp).is_unit is False
-    assert Residue(3, pp).is_unit is True
-
-
 def test_mult_order_examples():
     assert mult_order(2, PrimePower(7, 1)) == 3
     assert mult_order(1, PrimePower(7, 2)) == 1
-    assert mult_order(Residue(2, PrimePower(7, 1))) == 3
     with pytest.raises(ValueError):
         mult_order(22, PrimePower(11, 1))
 
@@ -75,12 +62,6 @@ def test_order_counts_match_phi():
                 assert pp.phi % r == 0
                 tally[r] = tally.get(r, 0) + 1
         assert sum(tally.values()) == pp.phi
-
-
-def test_phi_pow_gcd():
-    assert euler_phi(PrimePower(2, 3)) == 4
-    assert pow_mod(2, 9, PrimePower(7, 1)) == 1
-    assert gcd(11, 110) == 11
 
 
 def test_is_prime_vs_trial_division():

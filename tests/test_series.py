@@ -170,6 +170,20 @@ def test_eisenstein_values():
     assert e4m.coeffs.tolist() == [1, 240, 2160 % 691]
 
 
+def test_eisenstein_products_match_direct_series():
+    # M_8, M_10 and M_14 are one-dimensional, so E8 = E4^2, E10 = E4*E6 and
+    # E14 = E4^2*E6: the E4/E6 products are the oracle for the direct series
+    X = 300
+    e4 = eisenstein(4, X, None)
+    e6 = eisenstein(6, X, None)
+    e4sq = series_mul_naive(e4, e4)
+    assert eisenstein(8, X, None).coeffs == e4sq.coeffs
+    assert eisenstein(10, X, None).coeffs == series_mul_naive(e4, e6).coeffs
+    assert eisenstein(14, X, None).coeffs == series_mul_naive(e4sq, e6).coeffs
+    with pytest.raises(ValueError):
+        eisenstein(12, X, None)
+
+
 def test_e4_cubed_minus_e6_squared_is_1728_delta():
     X = 50
     e4 = eisenstein(4, X, None)
@@ -191,9 +205,9 @@ def test_eigenform_small_values_vs_oracle():
     assert got.coeffs == oracle
     assert (got[2], got[3], got[5]) == (-24, 252, 4830)
     assert got[6] == got[2] * got[3] == -6048
-    e18 = eigenform_coeffs(18, 4, None)
-    assert e18[2] == -528
-    assert e18[1] == 1
+    for w, a2 in {16: 216, 18: -528, 20: 456, 22: -288, 26: -48}.items():
+        f = eigenform_coeffs(w, 4, None)
+        assert (f[0], f[1], f[2]) == (0, 1, a2)
 
 
 def test_eigenform_modular_matches_exact():
@@ -234,7 +248,7 @@ def test_hecke_relations_sample():
     X = 3000
     pp = PrimePower(3, 7)
     q = pp.q
-    for w in (12, 16, 26):
+    for w in (12, 16, 20, 22, 26):
         a = eigenform_coeffs(w, X, pp, cache_dir=None).coeffs
         for r in range(2, 60):
             for s in range(r + 1, X // r + 1):
