@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # the only kernel set; kept as a constant because perfbench/run.py prints it
@@ -9,53 +11,15 @@ BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
-# number-theoretic transform, radix-2 in-place
-#
-# a: int64 array, length n a power of two, entries in [0, p)
-# wtab: int64 array of the n/2 powers w^0..w^(n/2-1) of a primitive n-th
-#       root of unity w mod p
-# p: transform prime < 2^31 so every product below fits in int64
-
-
-_bitrev_cache: dict[int, np.ndarray] = {}
-
-
-def _bitrev_indices(n: int) -> np.ndarray:
-    idx = _bitrev_cache.get(n)
-    if idx is None:
-        idx = np.zeros(n, dtype=np.int64)
-        half = 1
-        while half < n:
-            idx[half : 2 * half] = idx[:half] + n // (2 * half)
-            half *= 2
-        _bitrev_cache[n] = idx
-    return idx
-
-
-def ntt_inplace(a, wtab, p):
-    """Bit-reversal permutation, then one vectorized butterfly pass per stage."""
-    n = a.shape[0]
-    a[:] = a[_bitrev_indices(n)]
-    half = 1
-    while half < n:
-        step = n // (2 * half)
-        tw = wtab[: half * step : step]
-        blocks = a.reshape(-1, 2 * half)
-        lo = blocks[:, :half].copy()
-        hi = (blocks[:, half:] * tw) % p
-        blocks[:, :half] = (lo + hi) % p
-        blocks[:, half:] = (lo - hi) % p
-        half *= 2
-
-
-# ---------------------------------------------------------------------------
-# divisor power sums: sigma[n] = sum_{d | n} d^e mod q, for 1 <= n <= X
+# divisor power sums sigma[n] = sum_{d | n} d^e mod q for 1 <= n <= X, summed
+# over the hyperbola: each n = d*k with d <= k, d <= sqrt(X), gets d^e and,
+# where k > d, the cofactor's k^e; sqrt(X) vector passes, not X
 
 
 def sigma_pow_sieve(X, e, q):
     out = np.zeros(X + 1, dtype=np.int64)
     d = np.arange(X + 1, dtype=np.int64)
-    # vectorized d^e mod q by squaring
+    # vectorized d^e mod q by squaring; q < 2^31 keeps the squares in int64
     t = np.ones(X + 1, dtype=np.int64)
     b = d % q
     ee = e
@@ -66,8 +30,9 @@ def sigma_pow_sieve(X, e, q):
         ee >>= 1
     # each slot accumulates one term per divisor, so at most ~1500 values
     # below q < 2^31: comfortably inside int64
-    for dd in range(1, X + 1):
-        out[dd::dd] += t[dd]
+    for dd in range(1, math.isqrt(X) + 1):
+        out[dd * dd :: dd] += t[dd]
+        out[dd * (dd + 1) :: dd] += t[dd + 1 : X // dd + 1]
     out %= q
     return out
 

@@ -1,17 +1,20 @@
 """Truncated q-expansions of level-1 eigenforms modulo a prime power.
 
 Modular mode stores coefficients as canonical int64 residues and multiplies
-dense series in quasi-linear time via number-theoretic transforms over
-word-size primes recombined mod q (Garner).  Exact mode keeps Python big
-integers for tiny ranges (X <= 10^4) and only multiplies naively.
+dense series on float64 FFTs of signed limbs, whose width a proven rounding
+bound sets and a random evaluation mod 2^61 - 1 checks.  Exact mode keeps
+Python big integers for tiny ranges (X <= 10^4) and only multiplies naively.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import random
 import tempfile
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,18 +26,14 @@ SUPPORTED_WEIGHTS = (12, 16, 18, 20, 22, 26)
 
 EXACT_MAX_X = 10 ** 4
 NAIVE_MAX_X = 10 ** 4
-DENSE_MAX_X = 1 << 25
+DENSE_MAX_BYTES = 3 << 30
 
-# transform primes p = c*2^s + 1 with a primitive root, ordered by
-# decreasing 2-adicity s; all below 2^31 so int64 holds products
-_NTT_PRIMES = (
-    (2013265921, 31),  # 15*2^27+1
-    (1811939329, 13),  # 27*2^26+1
-    (469762049, 3),    # 7*2^26+1
-    (167772161, 3),    # 5*2^25+1
-    (754974721, 11),   # 45*2^24+1
-    (998244353, 3),    # 119*2^23+1
-)
+# float64 unit roundoff, the allowance for the error of each precomputed root
+# of unity, and the Mersenne prime and block length of the random evaluation
+_EPS = 2.0 ** -53
+_TWIDDLE_ERR = 4 * _EPS
+_CHECK_P = (1 << 61) - 1
+_CHECK_BLOCK = 1 << 13
 
 
 @dataclass
@@ -79,113 +78,144 @@ def new_series(modulus: PrimePower | None, values, X: int | None = None) -> Seri
 # multiplication
 
 
-def _root_power_table(p: int, g: int, n: int) -> np.ndarray:
-    """Powers w^0..w^(n/2-1) of w = g^((p-1)/n), a primitive n-th root."""
-    w = pow(g, (p - 1) // n, p)
-    half = max(n // 2, 1)
-    tab = np.ones(half, dtype=np.int64)
-    size = 1
-    while size < half:
-        take = min(size, half - size)
-        tab[size : size + take] = tab[:take] * pow(w, size, p) % p
-        size *= 2
-    return tab
+class ProductPlan(NamedTuple):
+    n: int  # transform length, the least power of two >= 2X
+    limbs: int  # signed limbs per residue, each of magnitude below 2^limb_bits
+    limb_bits: int
+    error_bound: float  # proven bound on the rounding error of any coefficient
 
 
-_table_cache: dict[tuple[int, int, bool], np.ndarray] = {}
+def _rounding_bound(X: int, n: int, limbs: int, digit: int) -> float:
+    """Percival's bound (Math. Comp. 2003, Thm. 5.1) on the error of a length-n
+    float64 FFT convolution: |x||y| ((1+e)^(3 lg n) (1+sqrt(5)e)^(3 lg n + 1)
+    (1+b)^(3 lg n) - 1) for unit roundoff e and root error b; Brent, Percival
+    and Zimmermann (2007) proved the complex-product error sqrt(5)e.  A sum
+    of `limbs` products adds `limbs` roundings; |x||y| <= limbs (X+1) digit^2.
+    The model is radix-2; `_value_at` checks what numpy computes."""
+    lg = n.bit_length() - 1
+    growth = math.expm1(
+        (3 * lg + limbs) * math.log1p(_EPS)
+        + (3 * lg + 1) * math.log1p(math.sqrt(5) * _EPS)
+        + 3 * lg * math.log1p(_TWIDDLE_ERR)
+    )
+    return limbs * (X + 1) * digit * digit * growth
 
 
-def _tables(p: int, g: int, n: int, inverse: bool) -> np.ndarray:
-    key = (p, n, inverse)
-    tab = _table_cache.get(key)
-    if tab is None:
-        gg = pow(g, -1, p) if inverse else g
-        tab = _root_power_table(p, gg, n)
-        _table_cache[key] = tab
-    return tab
-
-
-def _plan_primes(X: int, q: int) -> tuple[int, list[tuple[int, int]]]:
-    """Transform length and prime subset with product > (X+1)*(q-1)^2.
-
-    The length n is the least power of two with n >= 2X.  A cyclic product
-    of length 2X differs from the Cauchy product truncated at X only in the
-    term a[X]*b[X] of degree 2X, which wraps onto index 0;
-    `_ntt_convolve_mod` subtracts it there.  The bound on the product of
-    primes covers that wrapped coefficient too, since a[0]b[0] + a[X]b[X]
-    <= 2(q-1)^2.
-    """
+def _plan_product(X: int, q: int) -> ProductPlan:
+    """Fewest limbs of L = ceil(bits(q // 2) / k) bits, the residues shifted
+    to (-q/2, q/2], whose bound is below 1/2; n is the least power of two
+    >= 2X.  At most 2k spectra live with seven more buffers of their size
+    (sum, product, inverse, int64 copy, numpy.fft's copies): so counted, the
+    bytes stayed above the peak RSS added at X = 2^22..2^24.  CapacityError
+    comes before any allocation."""
     n = 1
     while n < 2 * X:
         n *= 2
-    need = (X + 1) * (q - 1) ** 2
-    chosen: list[tuple[int, int]] = []
-    prod = 1
-    for p, g in _NTT_PRIMES:
-        if (p - 1) % n != 0:
-            continue
-        chosen.append((p, g))
-        prod *= p
-        if prod > need:
-            return n, chosen
-    raise CapacityError(
-        f"no transform plan for X={X}, q={q}: supported word-size primes exhausted"
-    )
+    bits = (q // 2).bit_length()
+    for limbs in range(1, bits + 1):
+        L = -(-bits // limbs)
+        bound = _rounding_bound(X, n, limbs, min((1 << L) - 1, q // 2))
+        if bound < 0.5:
+            break
+    nbytes = (2 * limbs + 7) * (n // 2 + 1) * 16
+    if bound >= 0.5 or nbytes > DENSE_MAX_BYTES:
+        raise CapacityError(
+            f"dense product at X={X}, q={q} needs {nbytes / 2 ** 30:.1f} GiB of transform buffers "
+            f"({limbs} limbs, length {n}); the limit is {DENSE_MAX_BYTES / 2 ** 30:.1f} GiB"
+        )
+    return ProductPlan(n, limbs, L, bound)
 
 
-def _ntt_convolve_mod(a: np.ndarray, b: np.ndarray, q: int, X: int) -> np.ndarray:
+@functools.cache
+def _check_point() -> tuple[int, np.ndarray]:
+    """r, drawn once per process, and r^0..r^(BLOCK-1) mod P as 16-bit pieces."""
+    r = random.SystemRandom().randrange(_CHECK_P)
+    powers = np.empty(_CHECK_BLOCK, dtype=np.int64)
+    powers[0] = 1
+    for i in range(1, _CHECK_BLOCK):
+        powers[i] = int(powers[i - 1]) * r % _CHECK_P
+    pieces = np.empty((_CHECK_BLOCK, 4))
+    for u in range(4):
+        pieces[:, u] = (powers >> (16 * u)) & 0xFFFF
+    return r, pieces
+
+
+def _value_at(v: np.ndarray) -> int:
+    """v(r) mod P for int64 |v_i| < 2^53, by Horner over blocks; v's 18-bit
+    pieces times the powers' 16-bit pieces sum below 2^47, exact in float64."""
+    r, pieces = _check_point()
+    step = pow(r, _CHECK_BLOCK, _CHECK_P)
+    acc = 0
+    for start in range((len(v) - 1) // _CHECK_BLOCK * _CHECK_BLOCK, -1, -_CHECK_BLOCK):
+        chunk = v[start : start + _CHECK_BLOCK]
+        split = np.stack([chunk & 0x3FFFF, (chunk >> 18) & 0x3FFFF, chunk >> 36]).astype(np.float64)
+        sums = (split @ pieces[: len(chunk)]).tolist()
+        acc = acc * step + sum(int(sums[i][j]) << (18 * i + 16 * j) for i in range(3) for j in range(4))
+        acc %= _CHECK_P
+    return acc
+
+
+def _fft_convolve_mod(a: np.ndarray, b: np.ndarray, q: int, X: int) -> np.ndarray:
     """Cauchy product of a and b (each of length X+1) truncated at X, mod q.
 
-    One cyclic NTT product per planned prime, recombined by Garner.  When
-    the planned length n equals 2X, the term a[X]*b[X] has wrapped onto
-    index 0 and is subtracted from out[0] mod q.
+    For each s the limb spectrum products A_i B_j, i + j = s, are summed,
+    inverted and rounded to the integer convolution c_s; the result is
+    sum_s c_s 2^(L s) mod q.  At n = 2X the degree-2X term wraps onto index
+    0 and is subtracted.  With `a is b` each A_i A_j is formed once.
+    Each c_s is held to its exact bound, then checked (Freivalds) at an r
+    mod P = 2^61 - 1 drawn once per process, independent of the inputs: a
+    wrong c_s passes with probability <= (n - 1)/P < 2^-36 for n <= 2^25.
+    A mismatch raises ArithmeticError.
     """
-    n, primes = _plan_primes(X, q)
-    residues = []
     square = a is b
-    for p, g in primes:
-        fwd = _tables(p, g, n, inverse=False)
-        fa = np.zeros(n, dtype=np.int64)
-        fa[: len(a)] = a % p
-        kernels.ntt_inplace(fa, fwd, p)
-        if square:
-            fb = fa
-        else:
-            fb = np.zeros(n, dtype=np.int64)
-            fb[: len(b)] = b % p
-            kernels.ntt_inplace(fb, fwd, p)
-        fc = fa * fb % p
-        kernels.ntt_inplace(fc, _tables(p, g, n, inverse=True), p)
-        ninv = pow(n, -1, p)
-        residues.append(fc[: X + 1] * ninv % p)
-    # Garner mixed-radix recombination, reduced mod q on the fly; all factors
-    # are < 2^31 so every intermediate product fits in int64
-    ps = [p for p, _ in primes]
-    out = residues[0] % q
-    if len(ps) > 1:
-        digits = [residues[0]]
-        for j in range(1, len(ps)):
-            pj = ps[j]
-            acc = digits[0] % pj
-            mul = 1
-            for i in range(1, j):
-                mul = mul * ps[i - 1] % pj
-                acc = (acc + digits[i] % pj * mul) % pj
-            mul = mul * ps[j - 1] % pj
-            inv = pow(mul, -1, pj)
-            digits.append((residues[j] - acc) % pj * inv % pj)
-            mq = 1
-            for i in range(j):
-                mq = mq * ps[i] % q
-            out = (out + digits[j] % q * mq) % q
-    if n == 2 * X:
-        out[0] = (int(out[0]) - int(a[X]) * int(b[X])) % q
+    n, k, L, _ = _plan_product(X, q)
+    digit = min((1 << L) - 1, q // 2)
+
+    def split(v):
+        """Spectra, values at r and top coefficients of v's signed limbs."""
+        centred = np.where(v > q // 2, v - q, v)
+        sign, mag = np.sign(centred), np.abs(centred)
+        limbs = [sign * ((mag >> (L * i)) & ((1 << L) - 1)) for i in range(k)]
+        return [np.fft.rfft(x, n) for x in limbs], [_value_at(x) for x in limbs], [int(x[X]) for x in limbs]
+
+    fa, ra, ta = split(a)
+    fb, rb, tb = (fa, ra, ta) if square else split(b)
+    wrapped = n == 2 * X
+    r_top = pow(_check_point()[0], 2 * X, _CHECK_P) if wrapped else 0
+    out = np.zeros(X + 1, dtype=np.int64)
+    for s in range(2 * k - 1):
+        pairs = [(i, s - i) for i in range(max(0, s - k + 1), min(s, k - 1) + 1)]
+        spec = None
+        for i, j in pairs:
+            if square and i > j:
+                continue
+            term = fa[i] * fb[j]
+            if square and i < j:
+                term *= 2
+            spec = term if spec is None else np.add(spec, term, out=spec)
+        c = np.fft.irfft(spec, n)
+        c = np.rint(c, out=c).astype(np.int64)
+        del spec, term
+        top = sum(ta[i] * tb[j] for i, j in pairs)
+        if wrapped:
+            c[0] -= top
+        if int(np.abs(c).max()) > len(pairs) * (X + 1) * digit * digit or (
+            _value_at(c) + top * r_top - sum(ra[i] * rb[j] for i, j in pairs)
+        ) % _CHECK_P:
+            raise ArithmeticError(f"limb product {s} of a length-{n} transform failed its check (X={X}, q={q})")
+        out = (out + c[: X + 1] % q * pow(2, L * s, q)) % q
     return out
 
 
 def _naive_convolve_mod(a: np.ndarray, b: np.ndarray, q: int, X: int) -> np.ndarray:
-    if (X + 1) * (q - 1) ** 2 < 2 ** 63:
-        return np.convolve(a, b)[: X + 1] % q
+    if q < 2 ** 31:
+        # direct int64 sums over w-bit pieces of b, so (X+1)(q-1)(2^w - 1) < 2^62
+        w = 62 - ((X + 1) * (q - 1)).bit_length()
+        out = np.zeros(X + 1, dtype=np.int64)
+        for shift in range(0, (q - 1).bit_length(), w):
+            piece = (b >> shift) & ((1 << w) - 1)
+            out = (out + np.convolve(a, piece)[: X + 1] % q * pow(2, shift, q)) % q
+        return out
     ca, cb = [int(v) for v in a], [int(v) for v in b]
     out = [0] * (X + 1)
     for i, vi in enumerate(ca):
@@ -231,13 +261,11 @@ def series_mul(a: SeriesModQ, b: SeriesModQ) -> SeriesModQ:
         return series_mul_naive(a, b)
     X, q = a.X, a.modulus.q
     if q >= 2 ** 31:
-        # transform residues and Garner factors must fit int64
+        # the limb recombination multiplies two residues below q in int64
         if X > NAIVE_MAX_X:
             raise CapacityError(f"dense products need q < 2^31 (got q={q}) for X > {NAIVE_MAX_X}")
         return series_mul_naive(a, b)
-    if X > DENSE_MAX_X:
-        raise CapacityError(f"dense series limited to X <= {DENSE_MAX_X}")
-    return SeriesModQ(a.modulus, _ntt_convolve_mod(a.coeffs, b.coeffs, q, X))
+    return SeriesModQ(a.modulus, _fft_convolve_mod(a.coeffs, b.coeffs, q, X))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +387,7 @@ def _cache_read(path: str, weight: int, pp: PrimePower, X: int) -> np.ndarray | 
         vals = np.array(body.split(), dtype=np.int64)
     except ValueError:
         return None
-    if len(vals) != X + 1:
+    if len(vals) != X + 1 or vals.min() < 0 or vals.max() >= pp.q:
         return None
     return vals
 

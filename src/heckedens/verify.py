@@ -123,15 +123,22 @@ def check_partitions(max_m: int) -> tuple[bool, str]:
 
 def check_series_oracle(X: int) -> tuple[bool, str]:
     rng = np.random.default_rng(20230517)
-    for ell, m in ((2, 1), (2, 3), (5, 1), (3, 7), (691, 1)):
+    widest = PrimePower(2 ** 31 - 1, 1)
+    cases = []
+    for ell, m in ((2, 1), (2, 3), (5, 1), (3, 7), (691, 1), (widest.ell, 1)):
         pp = PrimePower(ell, m)
-        a = series.new_series(pp, rng.integers(0, pp.q, X + 1))
-        b = series.new_series(pp, rng.integers(0, pp.q, X + 1))
+        cases.append((pp, rng.integers(0, pp.q, X + 1), rng.integers(0, pp.q, X + 1)))
+    # the widest modulus takes the most limbs; all q - 1 is the largest
+    # residue, all q // 2 the largest signed limb and the worst rounding case
+    for v in (widest.q - 1, widest.q // 2):
+        cases.append((widest, np.full(X + 1, v), np.full(X + 1, v)))
+    for pp, ca, cb in cases:
+        a, b = series.new_series(pp, ca), series.new_series(pp, cb)
         fast = series.series_mul(a, b)
         ref = series.series_mul_naive(a, b)
         if not np.array_equal(fast.coeffs, ref.coeffs):
             return False, f"transform != naive at q={pp.q}, X={X}"
-    return True, f"transform path matches naive oracle at X={X}"
+    return True, f"transform path matches naive oracle at X={X}, up to q = 2^31 - 1"
 
 
 def check_eigenform_values() -> tuple[bool, str]:

@@ -2,40 +2,6 @@ import numpy as np
 import pytest
 
 from heckedens import kernels
-from heckedens.series import _root_power_table
-
-P, G = 2013265921, 31  # 15*2^27 + 1
-
-
-def _naive_dft(a, w, p):
-    n = len(a)
-    return np.array(
-        [sum(int(a[k]) * pow(w, j * k, p) for k in range(n)) % p for j in range(n)],
-        dtype=np.int64,
-    )
-
-
-@pytest.mark.parametrize("n", [4, 16, 64])
-def test_ntt_matches_naive_dft(n):
-    rng = np.random.default_rng(n)
-    a = rng.integers(0, P, n).astype(np.int64)
-    w = pow(G, (P - 1) // n, P)
-    wtab = _root_power_table(P, G, n)
-    assert wtab[1] == w
-    ref = _naive_dft(a, w, P)
-    got = a.copy()
-    kernels.ntt_inplace(got, wtab, P)
-    assert np.array_equal(got, ref)
-
-
-def test_root_power_table():
-    n = 32
-    w = pow(G, (P - 1) // n, P)
-    tab = _root_power_table(P, G, n)
-    assert len(tab) == 16
-    assert [int(t) for t in tab] == [pow(w, j, P) for j in range(16)]
-    # primitive: w^(n/2) = -1
-    assert pow(w, n // 2, P) == P - 1
 
 
 def _sigma_direct(n, e, q):
@@ -47,6 +13,23 @@ def test_sigma_sieve(e, q):
     out = kernels.sigma_pow_sieve(200, e, q)
     for n in range(1, 201):
         assert out[n] == _sigma_direct(n, e, q)
+
+
+def _sigma_every_divisor(X, e, q):
+    """The sieve as one pass per divisor d <= X, the form it replaced."""
+    t = np.array([pow(d, e, q) for d in range(X + 1)], dtype=np.int64)
+    out = np.zeros(X + 1, dtype=np.int64)
+    for d in range(1, X + 1):
+        out[d::d] += t[d]
+    return out % q
+
+
+@pytest.mark.parametrize("q", [23, 2187, 2 ** 31 - 1])
+def test_sigma_sieve_hyperbola_matches_every_divisor(q):
+    # X at, just below and just above squares, where the split point moves
+    for X in (1, 2, 3, 4, 48, 49, 50, 1023, 1024, 1025, 5000):
+        for e in (3, 11, 13):
+            assert np.array_equal(kernels.sigma_pow_sieve(X, e, q), _sigma_every_divisor(X, e, q)), (X, e)
 
 
 def test_sparse_square():

@@ -8,6 +8,9 @@ from heckedens.modring import PrimePower
 from heckedens.series import (
     SUPPORTED_WEIGHTS,
     EXACT_MAX_X,
+    NAIVE_MAX_X,
+    _plan_product,
+    _rounding_bound,
     eigenform_coeffs,
     eisenstein,
     eta_cubed_exponents,
@@ -90,19 +93,17 @@ def test_fast_matches_naive(ell, m):
     assert np.array_equal(fast.coeffs, ref.coeffs)
 
 
-def test_three_prime_recombination():
-    # q just under 2^31 forces three transform primes through the mixed-radix
-    # recombination even at tiny lengths
-    pp = PrimePower(2147483629, 1)
+def test_multi_limb_recombination():
+    # q = 2^31 - 1 needs three signed limbs at X = 7000: five anti-diagonal
+    # convolutions recombined with powers of 2^L mod q
+    pp = PrimePower(2 ** 31 - 1, 1)
     rng = np.random.default_rng(31)
-    X = 500
+    X = 7000
+    assert _plan_product(X, pp.q).limbs == 3
     a = new_series(pp, rng.integers(0, pp.q, X + 1))
     b = new_series(pp, rng.integers(0, pp.q, X + 1))
-    from heckedens.series import _plan_primes
-
-    _, primes = _plan_primes(X, pp.q)
-    assert len(primes) >= 3
     assert np.array_equal(series_mul(a, b).coeffs, series_mul_naive(a, b).coeffs)
+    assert np.array_equal(series_mul(a, a).coeffs, series_mul_naive(a, a).coeffs)
 
 
 def test_square_path_matches_general():
@@ -126,38 +127,163 @@ def test_power_of_two_length_wraparound():
 @pytest.mark.parametrize(
     "ell, m, sizes",
     [
-        (97, 1, (1 << 9, 1 << 12)),  # one transform prime
-        (2, 5, (1 << 9, 1 << 12)),  # one transform prime, even modulus
-        (3, 7, (1 << 9, (1 << 12) - 1, 1 << 12, (1 << 12) + 1)),  # two primes
-        (2147483629, 1, (1 << 9,)),  # three primes
+        (97, 1, (1 << 9, 1 << 12)),  # one limb
+        (2, 5, (1 << 9, 1 << 12)),  # one limb, even modulus
+        (3, 7, (1 << 9, (1 << 12) - 1, 1 << 12, (1 << 12) + 1)),  # one limb, n = 2X and n > 2X
+        (2147483629, 1, (1 << 9,)),  # two limbs
     ],
 )
 def test_wrapped_top_term_is_removed(ell, m, sizes):
     # at X = 2^k the transform has length 2X and a[X]*b[X] wraps onto index 0;
-    # the largest residues make that term as large as it can be
-    from heckedens.series import _plan_primes
-
+    # q - 1 is the largest residue and q // 2 the largest signed limb
     pp = PrimePower(ell, m)
     q = pp.q
     rng = np.random.default_rng(q)
     for X in sizes:
-        ca = rng.integers(0, q, X + 1)
-        cb = rng.integers(0, q, X + 1)
-        ca[X] = cb[X] = q - 1
-        a, b = new_series(pp, ca), new_series(pp, cb)
-        n, _ = _plan_primes(X, q)
+        n = _plan_product(X, q).n
         assert n // 2 < 2 * X <= n
-        assert np.array_equal(series_mul(a, b).coeffs, series_mul_naive(a, b).coeffs)
-        assert np.array_equal(series_mul(a, a).coeffs, series_mul_naive(a, a).coeffs)
+        for top in (q - 1, q // 2):
+            ca = rng.integers(0, q, X + 1)
+            cb = rng.integers(0, q, X + 1)
+            ca[X] = cb[X] = top
+            a, b = new_series(pp, ca), new_series(pp, cb)
+            assert np.array_equal(series_mul(a, b).coeffs, series_mul_naive(a, b).coeffs)
+            assert np.array_equal(series_mul(a, a).coeffs, series_mul_naive(a, a).coeffs)
 
 
-def test_plan_at_dense_limit():
-    # the largest admitted X plans at length 2X without running a transform
+def _limb_changes(q, top):
+    """Every X < top with a different limb count at X + 1."""
+    out = []
+    lo = 1
+    while lo < top:
+        hi = min(2 * lo, top)
+        if _plan_product(lo, q).limbs != _plan_product(hi, q).limbs:
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if _plan_product(mid, q).limbs == _plan_product(lo, q).limbs:
+                    lo = mid
+                else:
+                    hi = mid
+            out.append(lo)
+        lo = hi
+    return out
+
+
+@pytest.mark.parametrize("ell, m", [(2 ** 31 - 1, 1), (3, 7), (2, 5)])
+def test_largest_coefficients_match_naive(ell, m):
+    # every coefficient q - 1 (the largest residue) or q // 2 (the largest
+    # signed limb) gives the largest convolution values and rounding errors;
+    # X runs just below and above every limb-count change the naive oracle
+    # reaches, and each doubling of the transform length near NAIVE_MAX_X
+    pp = PrimePower(ell, m)
+    q = pp.q
+    changes = _limb_changes(q, NAIVE_MAX_X)
+    if q == 2 ** 31 - 1:
+        assert changes == [6805]  # two limbs up to X = 6805, three from 6806
+    sizes = sorted({x + d for x in changes for d in (0, 1)} | {1 << 12, (1 << 12) + 1, NAIVE_MAX_X})
+    for X in sizes:
+        for v in (q - 1, q // 2):
+            a = new_series(pp, np.full(X + 1, v))
+            b = new_series(pp, np.full(X + 1, v))
+            want = series_mul_naive(a, b).coeffs
+            assert np.array_equal(series_mul(a, b).coeffs, want), (X, v)
+            assert np.array_equal(series_mul(a, a).coeffs, want), (X, v)
+
+
+def test_observed_rounding_error_within_bound(monkeypatch):
+    # the rounded inverse transforms stay within the planner's proven bound
+    worst = []
+    irfft = np.fft.irfft
+
+    def recording(*args, **kwargs):
+        out = irfft(*args, **kwargs)
+        worst.append(float(np.abs(out - np.rint(out)).max()))
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", recording)
+    for ell, m, X in ((2 ** 31 - 1, 1, 6805), (2 ** 31 - 1, 1, 6806), (3, 7, NAIVE_MAX_X)):
+        pp = PrimePower(ell, m)
+        a = new_series(pp, np.full(X + 1, pp.q // 2))
+        worst.clear()
+        series_mul(a, a)
+        assert 0 < max(worst) < _plan_product(X, pp.q).error_bound < 0.5
+
+
+def test_planned_bound_below_half_where_admitted():
+    # the planner depends on q // 2 only, so q = 2^b - 1 covers every bit length
+    for bits in range(2, 32):
+        q = (1 << bits) - 1
+        for log_x in range(26):
+            for X in ((1 << log_x) - 1, 1 << log_x, (1 << log_x) + 1):
+                try:
+                    plan = _plan_product(X, q)
+                except CapacityError:
+                    continue
+                digit = min((1 << plan.limb_bits) - 1, q // 2)
+                assert plan.limbs * plan.limb_bits >= (q // 2).bit_length()
+                assert plan.error_bound == _rounding_bound(X, plan.n, plan.limbs, digit) < 0.5
+                if plan.limbs > 1:
+                    # one limb fewer would not be proven exact
+                    fewer = plan.limbs - 1
+                    wide = -(-(q // 2).bit_length() // fewer)
+                    assert _rounding_bound(X, plan.n, fewer, min((1 << wide) - 1, q // 2)) >= 0.5
+
+
+def test_random_evaluation_catches_a_wrong_coefficient(monkeypatch):
+    pp = PrimePower(3, 7)
+    rng = np.random.default_rng(5)
+    X = 300
+    a = new_series(pp, rng.integers(0, pp.q, X + 1))
+    b = new_series(pp, rng.integers(0, pp.q, X + 1))
+    irfft = np.fft.irfft
+    for index in (5, -1):  # inside the truncated product and in the discarded tail
+
+        def perturbed(*args, **kwargs):
+            out = irfft(*args, **kwargs)
+            out[index] += 1.0
+            return out
+
+        monkeypatch.setattr(np.fft, "irfft", perturbed)
+        with pytest.raises(ArithmeticError):
+            series_mul(a, b)
+        with pytest.raises(ArithmeticError):
+            series_mul(a, a)
+    monkeypatch.setattr(np.fft, "irfft", irfft)
+    assert np.array_equal(series_mul(a, b).coeffs, series_mul_naive(a, b).coeffs)
+    # an error that vanishes mod P escapes the evaluation, here stubbed to 0;
+    # the exact bound on |c_s| still catches it
     from heckedens import series
 
-    n, primes = series._plan_primes(series.DENSE_MAX_X, 2187)
-    assert n == 1 << 26
-    assert all((p - 1) % n == 0 for p, _ in primes)
+    monkeypatch.setattr(series, "_value_at", lambda v: 0)
+    series_mul(a, b)
+
+    def huge(*args, **kwargs):
+        out = irfft(*args, **kwargs)
+        out[5] += 2.0 ** 55
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", huge)
+    with pytest.raises(ArithmeticError):
+        series_mul(a, b)
+
+
+def test_plan_at_dense_limit(monkeypatch):
+    # the planner sizes the transform buffers before any transform runs
+    from heckedens import series
+
+    def no_transform(*args, **kwargs):
+        raise AssertionError("the planner ran a transform")
+
+    monkeypatch.setattr(np.fft, "rfft", no_transform)
+    monkeypatch.setattr(np.fft, "irfft", no_transform)
+    plan = _plan_product(1 << 24, 23)
+    assert (plan.n, plan.limbs) == (1 << 25, 1) and plan.error_bound < 0.5
+    assert _plan_product(1 << 23, 2 ** 31 - 1).limbs == 4
+    # the widest modulus needs four limbs at X = 2^24, and X = 2^25 needs
+    # 2^25 complex bins per spectrum: both exceed the budget
+    for X, q in ((1 << 24, 2 ** 31 - 1), (1 << 25, 23)):
+        with pytest.raises(CapacityError, match=f"limit is {series.DENSE_MAX_BYTES / 2 ** 30:.1f} GiB"):
+            _plan_product(X, q)
 
 
 def test_eisenstein_values():
@@ -282,9 +408,16 @@ def test_disk_cache_roundtrip(tmp_path):
     second = eigenform_coeffs(12, 500, pp, cache_dir=cdir)
     assert np.array_equal(first.coeffs, second.coeffs)
     # corrupted cache is ignored, not trusted
+    good = files[0].read_text().splitlines()
     files[0].write_text("HDF1 weight=12 ell=23 m=1 X=500\n1 2 junk\n")
     third = eigenform_coeffs(12, 500, pp, cache_dir=cdir)
     assert np.array_equal(first.coeffs, third.coeffs)
+    # so are residues outside [0, q): a(2) = -5 and a(3) = 99999 mod 23
+    for lines in ({3: "-5"}, {4: "99999"}, {3: "-5", 4: "99999"}):
+        bad = [lines.get(i, line) for i, line in enumerate(good)]
+        files[0].write_text("\n".join(bad) + "\n")
+        again = eigenform_coeffs(12, 500, pp, cache_dir=cdir)
+        assert np.array_equal(first.coeffs, again.coeffs)
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
