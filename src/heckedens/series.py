@@ -4,6 +4,8 @@ Modular mode stores coefficients as canonical int64 residues and multiplies
 dense series on float64 FFTs of signed limbs, whose width a proven rounding
 bound sets and a random evaluation mod 2^61 - 1 checks.  Exact mode keeps
 Python big integers for tiny ranges (X <= 10^4) and only multiplies naively.
+Modular eigenforms are cached on disk in a checksummed binary file per
+(weight, ell, m).
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ import functools
 import math
 import os
 import random
+import struct
 import tempfile
+import zlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,7 +69,11 @@ def new_series(modulus: PrimePower | None, values, X: int | None = None) -> Seri
             raise CapacityError(f"exact mode limited to X <= {EXACT_MAX_X}")
         return SeriesModQ(None, c)
     q = modulus.q
-    a = np.asarray([int(v) % q for v in values], dtype=np.int64)
+    if isinstance(values, np.ndarray) and np.can_cast(values.dtype, np.int64):
+        a = np.asarray(values, dtype=np.int64) % q
+    else:
+        # Python ints (q >= 2^31 builds) and uint64 reduce exactly, one by one
+        a = np.asarray([int(v) % q for v in values], dtype=np.int64)
     if X is not None:
         out = np.zeros(X + 1, dtype=np.int64)
         n = min(len(a), X + 1)
@@ -335,16 +343,24 @@ def _delta(X: int, modulus: PrimePower | None) -> SeriesModQ:
     return SeriesModQ(modulus, shifted)
 
 
-def _build_eigenform(weight: int, X: int, modulus: PrimePower | None) -> SeriesModQ:
+def _build_eigenform(delta: SeriesModQ, weight: int) -> SeriesModQ:
     """The unique normalized eigenform of weight w is Delta * E_(w-12)."""
-    out = _delta(X, modulus)
     if weight == 12:
-        return out
-    return series_mul(out, eisenstein(weight - 12, X, modulus))
+        return delta
+    return series_mul(delta, eisenstein(weight - 12, delta.X, delta.modulus))
 
 
 # ---------------------------------------------------------------------------
-# disk cache: "HDF1 weight=<w> ell=<l> m=<m> X=<X>" then one residue per line
+# disk cache: one file per (weight, ell, m) holding a(0..X) for the largest X
+# built so far, a _CACHE_HEADER record (magic, format, algorithm version,
+# weight, ell, m, X, dtype, CRC-32 of the residue bytes) and then the
+# residues in the smallest unsigned dtype that holds q - 1
+
+_CACHE_MAGIC = b"HECKEDNS"
+_CACHE_FORMAT = 1
+# bumped whenever a change to the build code could change a stored residue
+CACHE_ALGO_VERSION = 1
+_CACHE_HEADER = struct.Struct("<8sIIIQIQ4sI")
 
 
 def cache_dir_from_env(explicit: str | None = None) -> str:
@@ -353,19 +369,54 @@ def cache_dir_from_env(explicit: str | None = None) -> str:
     return os.environ.get("HECKE_CACHE_DIR", "./cache")
 
 
-def _cache_path(cache_dir: str, weight: int, pp: PrimePower, X: int) -> str:
-    return os.path.join(cache_dir, f"hdf1_w{weight}_l{pp.ell}_m{pp.m}_X{X}.txt")
+def _cache_path(cache_dir: str, weight: int, pp: PrimePower) -> str:
+    return os.path.join(cache_dir, f"eigenform_w{weight}_l{pp.ell}_m{pp.m}.bin")
 
 
-def _cache_write(path: str, weight: int, pp: PrimePower, X: int, coeffs: np.ndarray):
+def _cache_read(path: str, weight: int, pp: PrimePower) -> np.ndarray | None:
+    """The stored residues a(0..X), read-only, or None (a miss) unless the
+    magic, both versions, the key, the dtype, the length and the checksum
+    all match and every residue is below q."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return None
+    if len(data) < _CACHE_HEADER.size:
+        return None
+    magic, fmt, algo, w, ell, m, X, dtype_str, crc = _CACHE_HEADER.unpack_from(data)
+    dtype = np.min_scalar_type(pp.q - 1)
+    payload = memoryview(data)[_CACHE_HEADER.size :]
+    if (
+        (magic, fmt, algo, w, ell, m) != (_CACHE_MAGIC, _CACHE_FORMAT, CACHE_ALGO_VERSION, weight, pp.ell, pp.m)
+        or dtype_str.rstrip(b"\0") != dtype.str.encode()
+        or len(payload) != (X + 1) * dtype.itemsize
+        or zlib.crc32(payload) != crc
+    ):
+        return None
+    residues = np.frombuffer(payload, dtype=dtype)
+    return residues if residues.max() < pp.q else None
+
+
+def _cache_write(path: str, weight: int, pp: PrimePower, coeffs: np.ndarray):
+    """Store a(0..X) through a temporary file and an atomic rename, unless a
+    valid entry with at least as many residues is there (another process
+    may have written one since this one missed)."""
+    current = _cache_read(path, weight, pp)
+    if current is not None and len(current) >= len(coeffs):
+        return
+    dtype = np.min_scalar_type(pp.q - 1)
+    payload = coeffs.astype(dtype)
+    header = _CACHE_HEADER.pack(
+        _CACHE_MAGIC, _CACHE_FORMAT, CACHE_ALGO_VERSION, weight, pp.ell, pp.m,
+        len(coeffs) - 1, dtype.str.encode(), zlib.crc32(payload),
+    )
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    header = f"HDF1 weight={weight} ell={pp.ell} m={pp.m} X={X}\n"
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.write(header)
-            fh.write("\n".join(map(str, coeffs.tolist())))
-            fh.write("\n")
+            fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -373,23 +424,17 @@ def _cache_write(path: str, weight: int, pp: PrimePower, X: int, coeffs: np.ndar
         raise
 
 
-def _cache_read(path: str, weight: int, pp: PrimePower, X: int) -> np.ndarray | None:
-    try:
-        with open(path) as fh:
-            header = fh.readline().strip()
-            expect = f"HDF1 weight={weight} ell={pp.ell} m={pp.m} X={X}"
-            if header != expect:
-                return None
-            body = fh.read()
-    except OSError:
-        return None
-    try:
-        vals = np.array(body.split(), dtype=np.int64)
-    except ValueError:
-        return None
-    if len(vals) != X + 1 or vals.min() < 0 or vals.max() >= pp.q:
-        return None
-    return vals
+def _cached_eigenform(cache_dir: str, weight: int, X: int, pp: PrimePower) -> SeriesModQ:
+    """The weight-w entry's prefix a(0..X), else a build written back; every
+    weight takes Delta from the weight-12 entry, read or built."""
+    path = _cache_path(cache_dir, weight, pp)
+    entry = _cache_read(path, weight, pp)
+    if entry is not None and len(entry) > X:
+        return SeriesModQ(pp, entry[: X + 1].astype(np.int64))
+    delta = _delta(X, pp) if weight == 12 else _cached_eigenform(cache_dir, 12, X, pp)
+    out = _build_eigenform(delta, weight)
+    _cache_write(path, weight, pp, out.coeffs)
+    return out
 
 
 def eigenform_coeffs(
@@ -400,20 +445,14 @@ def eigenform_coeffs(
 ) -> SeriesModQ:
     """a(0..X) of the normalized weight-w eigenform, mod q or exact.
 
-    Modular results are cached on disk keyed by (weight, q, X); the cache
-    directory comes from the argument, else HECKE_CACHE_DIR, else ./cache.
+    Modular results are cached on disk, one file per (weight, ell, m), and X
+    is served by prefix from any cached X' >= X; the cache directory comes
+    from the argument, else HECKE_CACHE_DIR, else ./cache.
     """
     if weight not in SUPPORTED_WEIGHTS:
         raise ValueError(f"unsupported weight {weight}; expected one of {SUPPORTED_WEIGHTS}")
     if X < 2:
         raise ValueError("X must be >= 2")
     if modulus is None:
-        return _build_eigenform(weight, X, None)
-    cdir = cache_dir_from_env(cache_dir)
-    path = _cache_path(cdir, weight, modulus, X)
-    cached = _cache_read(path, weight, modulus, X)
-    if cached is not None:
-        return SeriesModQ(modulus, cached)
-    out = _build_eigenform(weight, X, modulus)
-    _cache_write(path, weight, modulus, X, out.coeffs)
-    return out
+        return _build_eigenform(_delta(X, None), weight)
+    return _cached_eigenform(cache_dir_from_env(cache_dir), weight, X, modulus)

@@ -1,11 +1,15 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
 
+from heckedens import series
 from heckedens.errors import CapacityError
 from heckedens.modring import PrimePower
 from heckedens.series import (
+    _CACHE_HEADER,
+    CACHE_ALGO_VERSION,
     SUPPORTED_WEIGHTS,
     EXACT_MAX_X,
     NAIVE_MAX_X,
@@ -397,30 +401,204 @@ def test_ramanujan_congruence_sample():
             assert a[p] == (1 + pow(p, 11, 691)) % 691
 
 
-def test_disk_cache_roundtrip(tmp_path):
+def _fail(*args, **kwargs):
+    raise AssertionError("a cache hit ran a build")
+
+
+def _entry(path):
+    """The header fields and the residue bytes of a cache file."""
+    data = path.read_bytes()
+    return list(_CACHE_HEADER.unpack_from(data)), bytearray(data[_CACHE_HEADER.size :])
+
+
+def _store(path, fields, payload):
+    path.write_bytes(_CACHE_HEADER.pack(*fields) + bytes(payload))
+
+
+def test_disk_cache_roundtrip(tmp_path, monkeypatch):
     pp = PrimePower(23, 1)
     cdir = str(tmp_path / "cache")
     first = eigenform_coeffs(12, 500, pp, cache_dir=cdir)
     files = list((tmp_path / "cache").iterdir())
-    assert len(files) == 1
-    header = files[0].read_text().splitlines()[0]
-    assert header == "HDF1 weight=12 ell=23 m=1 X=500"
-    second = eigenform_coeffs(12, 500, pp, cache_dir=cdir)
-    assert np.array_equal(first.coeffs, second.coeffs)
-    # corrupted cache is ignored, not trusted
-    good = files[0].read_text().splitlines()
-    files[0].write_text("HDF1 weight=12 ell=23 m=1 X=500\n1 2 junk\n")
+    assert [f.name for f in files] == ["eigenform_w12_l23_m1.bin"]
+    fields, payload = _entry(files[0])
+    assert fields[:8] == [b"HECKEDNS", 1, CACHE_ALGO_VERSION, 12, 23, 1, 500, b"|u1\0"]
+    assert fields[8] == zlib.crc32(payload) and len(payload) == 501
+    good = files[0].read_bytes()
+    with monkeypatch.context() as patch:
+        patch.setattr(series, "_delta", _fail)
+        second = eigenform_coeffs(12, 500, pp, cache_dir=cdir)
+    assert second.coeffs.dtype == np.int64 and np.array_equal(first.coeffs, second.coeffs)
+    # corrupted cache is ignored, not trusted, and rewritten
+    files[0].write_bytes(good[: _CACHE_HEADER.size] + b"1 2 junk\n")
     third = eigenform_coeffs(12, 500, pp, cache_dir=cdir)
-    assert np.array_equal(first.coeffs, third.coeffs)
-    # so are residues outside [0, q): a(2) = -5 and a(3) = 99999 mod 23
-    for lines in ({3: "-5"}, {4: "99999"}, {3: "-5", 4: "99999"}):
-        bad = [lines.get(i, line) for i, line in enumerate(good)]
-        files[0].write_text("\n".join(bad) + "\n")
+    assert np.array_equal(first.coeffs, third.coeffs) and files[0].read_bytes() == good
+    # so are residues outside [0, q), even under a matching checksum:
+    # a(2) = 23 and a(3) = 255 mod 23
+    for bad in ({2: 23}, {3: 255}, {2: 23, 3: 255}):
+        fields, payload = _entry(files[0])
+        for i, v in bad.items():
+            payload[i] = v
+        fields[8] = zlib.crc32(payload)
+        _store(files[0], fields, payload)
         again = eigenform_coeffs(12, 500, pp, cache_dir=cdir)
-        assert np.array_equal(first.coeffs, again.coeffs)
+        assert np.array_equal(first.coeffs, again.coeffs) and files[0].read_bytes() == good
+
+
+def _flip_residue(fields, payload):
+    payload[7] ^= 1
+
+
+def _wrong_format(fields, payload):
+    fields[1] += 1
+
+
+def _wrong_algo(fields, payload):
+    fields[2] += 1
+
+
+def _residue_too_large(fields, payload):
+    payload[5] = 23
+    fields[8] = zlib.crc32(payload)
+
+
+def _truncate(fields, payload):
+    del payload[-1]
+
+
+@pytest.mark.parametrize("corrupt", [_flip_residue, _wrong_format, _wrong_algo, _residue_too_large, _truncate])
+def test_corrupt_cache_entry_is_rebuilt(tmp_path, corrupt):
+    pp = PrimePower(23, 1)
+    truth = eigenform_coeffs(12, 500, pp, cache_dir=str(tmp_path / "fresh")).coeffs
+    path = tmp_path / "eigenform_w12_l23_m1.bin"
+    eigenform_coeffs(12, 500, pp, cache_dir=str(tmp_path))
+    good = path.read_bytes()
+    fields, payload = _entry(path)
+    corrupt(fields, payload)
+    _store(path, fields, payload)
+    assert series._cache_read(str(path), 12, pp) is None
+    out = eigenform_coeffs(12, 500, pp, cache_dir=str(tmp_path))
+    assert np.array_equal(out.coeffs, truth) and path.read_bytes() == good
+
+
+def test_every_flipped_header_bit_is_a_miss(tmp_path):
+    # each field of the header (magic, versions, key, X, dtype, checksum) is
+    # checked: one flipped bit anywhere in it makes the entry a miss
+    pp = PrimePower(23, 1)
+    truth = eigenform_coeffs(12, 300, pp, cache_dir=str(tmp_path / "fresh")).coeffs
+    path = tmp_path / "eigenform_w12_l23_m1.bin"
+    eigenform_coeffs(12, 300, pp, cache_dir=str(tmp_path))
+    good = path.read_bytes()
+    for byte in range(_CACHE_HEADER.size):
+        for bit in (0, 7):
+            data = bytearray(good)
+            data[byte] ^= 1 << bit
+            path.write_bytes(data)
+            assert series._cache_read(str(path), 12, pp) is None, (byte, bit)
+            out = eigenform_coeffs(12, 300, pp, cache_dir=str(tmp_path))
+            assert np.array_equal(out.coeffs, truth) and path.read_bytes() == good
+
+
+def test_truncated_and_bumped_entries_are_misses(tmp_path, monkeypatch):
+    pp = PrimePower(7, 3)  # two bytes per residue
+    path = tmp_path / "eigenform_w12_l7_m3.bin"
+    truth = eigenform_coeffs(12, 400, pp, cache_dir=str(tmp_path)).coeffs
+    good = path.read_bytes()
+    for cut in (0, 10, _CACHE_HEADER.size, _CACHE_HEADER.size + 1, len(good) - 2, len(good) - 1):
+        path.write_bytes(good[:cut])
+        assert series._cache_read(str(path), 12, pp) is None, cut
+    # an entry longer than its header says is refused as well
+    path.write_bytes(good + b"\0\0")
+    assert series._cache_read(str(path), 12, pp) is None
+    # a build-code change bumps CACHE_ALGO_VERSION; older entries then miss
+    path.write_bytes(good)
+    monkeypatch.setattr(series, "CACHE_ALGO_VERSION", CACHE_ALGO_VERSION + 1)
+    assert series._cache_read(str(path), 12, pp) is None
+    out = eigenform_coeffs(12, 400, pp, cache_dir=str(tmp_path))
+    assert np.array_equal(out.coeffs, truth)
+    assert _entry(path)[0][2] == CACHE_ALGO_VERSION + 1
+
+
+def test_stale_text_cache_is_ignored(tmp_path):
+    # a file of the retired text format, with wrong residues, is never read
+    pp = PrimePower(23, 1)
+    truth = eigenform_coeffs(12, 500, pp, cache_dir=str(tmp_path / "fresh")).coeffs
+    stale = tmp_path / "hdf1_w12_l23_m1_X500.txt"
+    stale.write_text("HDF1 weight=12 ell=23 m=1 X=500\n" + "1\n" * 501)
+    out = eigenform_coeffs(12, 500, pp, cache_dir=str(tmp_path))
+    assert np.array_equal(out.coeffs, truth)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["eigenform_w12_l23_m1.bin", "fresh", stale.name]
+
+
+def test_cache_serves_prefix_and_keeps_the_largest(tmp_path, monkeypatch):
+    pp = PrimePower(3, 7)
+    cdir = str(tmp_path / "cache")
+    path = tmp_path / "cache" / "eigenform_w26_l3_m7.bin"
+    eigenform_coeffs(26, 500, pp, cache_dir=cdir)
+    # a larger build replaces the smaller entry
+    large = eigenform_coeffs(26, 3000, pp, cache_dir=cdir)
+    assert _entry(path)[0][6] == 3000
+    assert np.array_equal(large.coeffs, eigenform_coeffs(26, 3000, pp, cache_dir=str(tmp_path / "a")).coeffs)
+    stored = path.read_bytes()
+    # a smaller X is the prefix of the stored entry, with no build
+    with monkeypatch.context() as patch:
+        patch.setattr(series, "_delta", _fail)
+        patch.setattr(series, "series_mul", _fail)
+        small = eigenform_coeffs(26, 1000, pp, cache_dir=cdir)
+    fresh = eigenform_coeffs(26, 1000, pp, cache_dir=str(tmp_path / "b"))
+    assert small.coeffs.dtype == np.int64 and np.array_equal(small.coeffs, fresh.coeffs)
+    # and a smaller entry never overwrites a larger one
+    series._cache_write(str(path), 26, pp, fresh.coeffs)
+    assert path.read_bytes() == stored
+
+
+@pytest.mark.parametrize("weight", [18, 26])
+def test_delta_shared_across_weights(tmp_path, monkeypatch, weight):
+    pp = PrimePower(3, 7)
+    X = 2000
+    cold = eigenform_coeffs(weight, X, pp, cache_dir=str(tmp_path / "cold"))
+    # a cold build leaves Delta in the weight-12 entry as well
+    assert sorted(p.name for p in (tmp_path / "cold").iterdir()) == [
+        "eigenform_w12_l3_m7.bin", f"eigenform_w{weight}_l3_m7.bin"]
+    exact = eigenform_coeffs(weight, 300, None)
+    assert [int(v) for v in cold.coeffs[:301]] == [v % pp.q for v in exact.coeffs]
+    # with weight 12 cached at a larger X, weight w costs one product
+    warm = str(tmp_path / "warm")
+    eigenform_coeffs(12, 3000, pp, cache_dir=warm)
+    products = []
+    mul = series.series_mul
+    monkeypatch.setattr(series, "_delta", _fail)
+    monkeypatch.setattr(series, "series_mul", lambda a, b: products.append(a.X) or mul(a, b))
+    reused = eigenform_coeffs(weight, X, pp, cache_dir=warm)
+    assert products == [X]
+    assert np.array_equal(reused.coeffs, cold.coeffs)
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("HECKE_CACHE_DIR", str(tmp_path / "envcache"))
     eigenform_coeffs(16, 300, PrimePower(5, 1))
-    assert (tmp_path / "envcache" / "hdf1_w16_l5_m1_X300.txt").exists()
+    assert sorted(p.name for p in (tmp_path / "envcache").iterdir()) == [
+        "eigenform_w12_l5_m1.bin", "eigenform_w16_l5_m1.bin"]
+
+
+@pytest.mark.parametrize("ell, m", [(3, 7), (2, 40)])
+def test_new_series_array_and_list_paths_agree(ell, m):
+    # integer arrays reduce in int64, lists and Python ints one by one
+    pp = PrimePower(ell, m)
+    q = pp.q
+    big, small = np.iinfo(np.int64), np.iinfo(np.int32)
+    cases = [
+        np.array([0, 1, -1, q - 1, q, q + 1, -q, -q - 1, 3 * q + 5, -7 * q + 2, big.max, big.min, big.min + 1]),
+        np.array([small.min, small.max, -5, 12345], dtype=np.int32),
+        np.array([0, 255, 7], dtype=np.uint8),
+        # uint64 above 2^63 would wrap through int64, so it takes the exact path
+        np.array([2 ** 64 - 1, 2 ** 63, 5], dtype=np.uint64),
+    ]
+    for values in cases:
+        want = [int(v) % q for v in values.tolist()]
+        for data in (values, values.tolist()):
+            got = new_series(pp, data).coeffs
+            assert got.dtype == np.int64 and got.tolist() == want
+        padded = new_series(pp, values, X=len(values) + 2).coeffs.tolist()
+        assert padded == want + [0, 0, 0]
+        assert new_series(pp, values, X=1).coeffs.tolist() == want[:2]
