@@ -10,13 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError
-from .matcount import (
-    capped_valuations,
-    count_trace_det,
-    discriminant_classes,
-    pow_mod_array,
-    trace_det_counts_for_det,
-)
+from .matcount import capped_valuations, count_trace_det, discriminant_classes, pow_mod_array
 from .modring import PrimePower, mult_order
 from .series import SUPPORTED_WEIGHTS
 from .tower import GENERIC_CAVEAT, generic_L_degree
@@ -86,17 +80,26 @@ class PartitionStat:
     argmin: tuple[int, ...]
 
 
+def gamma_table(params: LiftParams, q: int, u: np.ndarray) -> np.ndarray:
+    """gamma_i(u) = -(u^(k-i) + u^(k-n-1+i)) mod q for i = 1..n/2, along a
+    new last axis; g_u(w) = prod_i (w - gamma_i(u))."""
+    if q * q >= 2 ** 63:
+        raise CapacityError(f"gamma_i mod {q} need q^2 < 2^63")
+    k, n = params.k, params.n
+    return np.stack(
+        [-(pow_mod_array(u, k - i, q) + pow_mod_array(u, k - n - 1 + i, q)) % q
+         for i in range(1, n // 2 + 1)],
+        axis=-1,
+    )
+
+
 def gamma_roots(u: int, params: LiftParams, pp: PrimePower) -> GammaRoots:
-    """gamma_i = -(u^(k-i) + u^(k-n-1+i)) mod q for i = 1..n/2."""
-    q = pp.q
-    u %= q
+    """The gamma_i(u) of gamma_table for one unit u."""
+    u %= pp.q
     if u % pp.ell == 0:
         raise ValueError(f"u = {u} is not a unit mod {pp}")
-    k, n = params.k, params.n
-    g = tuple(
-        (-(pow(u, k - i, q) + pow(u, k - n - 1 + i, q))) % q for i in range(1, n // 2 + 1)
-    )
-    return GammaRoots(pp, u, params, g)
+    g = gamma_table(params, pp.q, np.array([u], dtype=np.int64))[0]
+    return GammaRoots(pp, u, params, tuple(int(x) for x in g))
 
 
 def _ball_exponent(params: LiftParams, pp: PrimePower) -> int:
@@ -106,13 +109,8 @@ def _ball_exponent(params: LiftParams, pp: PrimePower) -> int:
 
 def density_cells(params: LiftParams, pp: PrimePower, n_units: int) -> int:
     """Cells touched for n_units units: the O(q m) valuation and class
-    tables, (n/2) ell^(m-s) root candidates per unit, and for ell = 2 one
-    O(q m) trace sweep per unit."""
-    q, ell, m = pp.q, pp.ell, pp.m
-    cells = q * m + n_units * (params.n // 2) * ell ** (m - _ball_exponent(params, pp))
-    if ell == 2:
-        cells += n_units * q * m
-    return cells
+    tables, and (n/2) ell^(m-s) root candidates per unit."""
+    return pp.q * pp.m + n_units * (params.n // 2) * pp.ell ** (pp.m - _ball_exponent(params, pp))
 
 
 def root_cells(
@@ -145,13 +143,8 @@ def root_cells(
 
 def _ball_roots(params: LiftParams, pp: PrimePower, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q, ell, m = pp.q, pp.ell, pp.m
-    k, n, s = params.k, params.n, _ball_exponent(params, pp)
-    h = n // 2
-    gamma = np.stack(
-        [-(pow_mod_array(units, k - i, q) + pow_mod_array(units, k - n - 1 + i, q)) % q
-         for i in range(1, h + 1)],
-        axis=1,
-    )
+    h, s = params.n // 2, _ball_exponent(params, pp)
+    gamma = gamma_table(params, q, units)
     w = (gamma[:, :, None] + ell ** s * np.arange(ell ** (m - s), dtype=np.int64)) % q
     vals = capped_valuations(ell, m)
     total = np.zeros(w.shape, dtype=np.int16)
@@ -219,27 +212,18 @@ def delta_F_generic(params: LiftParams, pp: PrimePower) -> DensityReport:
     use the Siegel weight k.  Both weights are exposed on LiftParams.
 
     Cost O(q m + phi(q) (n/2) ell^(m - ceil(2m/n))): root_cells enumerates
-    the candidates, and for odd ell each root's count is a lookup in the
-    discriminant-class table; ell = 2 adds one O(q m) trace sweep per unit.
-    Inputs above DENSITY_CELLS_MAX cells raise CapacityError before any
-    array is built.
+    the candidates, and each root's count is a bincount over the classes of
+    discriminant_classes, for every ell.  Inputs above DENSITY_CELLS_MAX
+    cells raise CapacityError before any array is built.
     """
     wf = params.source_weight
     q, ell, m = pp.q, pp.ell, pp.m
     u, w = root_cells(params, pp)
     den = generic_L_degree(wf, ell, m)
-    if ell == 2:
-        # no discriminant classes without 1/2: one trace sweep per unit
-        units, first = np.unique(u, return_index=True)
-        num = sum(
-            int(trace_det_counts_for_det(pp, pow(int(uu), wf - 1, q))[ww].sum())
-            for uu, ww in zip(units, np.split(w, first[1:]))
-        )
-    else:
-        cls, values = discriminant_classes(ell, m)
-        d = pow_mod_array(u, wf - 1, q)
-        hist = np.bincount(cls[(w * w - 4 * d) % q], minlength=len(values))
-        num = sum(int(c) * v for c, v in zip(hist, values))
+    cls, counts, _ = discriminant_classes(ell, m)
+    d = pow_mod_array(u, wf - 1, q)
+    hist = np.bincount(cls[(w * w - 4 * d) % len(cls)], minlength=len(counts))
+    num = sum(int(c) * v for c, v in zip(hist, counts))
     delta = Fraction(num, den)
     n = params.n
     if n == 2:

@@ -10,9 +10,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .density import DensityReport, LiftParams, delta_F_generic, root_cells
+from .density import DensityReport, LiftParams, delta_F_generic, gamma_table, root_cells
 from .errors import CapacityError
-from .matcount import trace_det_counts_for_det
+from .matcount import pow_mod_array, trace_det_counts_for_det
 from .modring import PrimePower
 from .primes import primes_in
 from .series import eigenform_coeffs
@@ -86,18 +86,11 @@ def _scan_primes(pp: PrimePower, x: int) -> np.ndarray:
 def _expected_table(weight: int, pp: PrimePower) -> tuple[np.ndarray, int]:
     """Numerators of the generic (u, v) density table over the shared
     denominator [L : Q]; non-unit rows are zero."""
-    q, ell = pp.q, pp.ell
-    den = generic_L_degree(weight, ell, pp.m)
+    q = pp.q
+    units = np.flatnonzero(np.arange(q) % pp.ell)
     num = np.zeros((q, q), dtype=np.int64)
-    by_det: dict[int, np.ndarray] = {}
-    for u in range(1, q):
-        if u % ell == 0:
-            continue
-        d = pow(u, weight - 1, q)
-        if d not in by_det:
-            by_det[d] = trace_det_counts_for_det(pp, d)
-        num[u] = by_det[d]
-    return num, den
+    num[units] = trace_det_counts_for_det(pp, pow_mod_array(units, weight - 1, q))
+    return num, generic_L_degree(weight, pp.ell, pp.m)
 
 
 def scan_pi_f(
@@ -152,16 +145,10 @@ def scan_pi_F(
     series = eigenform_coeffs(params.source_weight, x, pp, cache_dir)
     u = primes % q
     a = series.coeffs[primes]
-    k, n = params.k, params.n
-    # direct: product over i of (a + u^(k-i) + u^(k-n-1+i)), via per-u tables
+    # direct: product over i of (a + p^(k-i) + p^(k-n-1+i)) = (a - gamma_i(u))
     lam = np.ones(len(primes), dtype=np.int64)
-    ut = np.arange(q, dtype=np.int64)
-    for i in range(1, n // 2 + 1):
-        term = np.array(
-            [(pow(int(t), k - i, q) + pow(int(t), k - n - 1 + i, q)) % q for t in ut],
-            dtype=np.int64,
-        )
-        lam = lam * ((a + term[u]) % q) % q
+    for gamma in gamma_table(params, q, np.arange(q, dtype=np.int64)).T:
+        lam = lam * ((a - gamma[u]) % q) % q
     direct = int(np.sum(lam == 0))
     # root-set reduction: lambda vanishes iff a_f(p) hits a root of g_(p mod q)
     root_mask = np.zeros((q, q), dtype=bool)

@@ -10,6 +10,18 @@ import numpy as np
 BACKEND = "numpy"
 
 
+def pow_mod_array(base: np.ndarray, e: int, q: int) -> np.ndarray:
+    """Elementwise base^e mod q by squaring; needs q^2 < 2^63."""
+    out = np.ones_like(base)
+    base = base % q
+    while e > 0:
+        if e & 1:
+            out = out * base % q
+        base = base * base % q
+        e >>= 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # divisor power sums sigma[n] = sum_{d | n} d^e mod q for 1 <= n <= X, summed
 # over the hyperbola: each n = d*k with d <= k, d <= sqrt(X), gets d^e and,
@@ -18,16 +30,8 @@ BACKEND = "numpy"
 
 def sigma_pow_sieve(X, e, q):
     out = np.zeros(X + 1, dtype=np.int64)
-    d = np.arange(X + 1, dtype=np.int64)
-    # vectorized d^e mod q by squaring; q < 2^31 keeps the squares in int64
-    t = np.ones(X + 1, dtype=np.int64)
-    b = d % q
-    ee = e
-    while ee > 0:
-        if ee & 1:
-            t = (t * b) % q
-        b = (b * b) % q
-        ee >>= 1
+    # q < 2^31 keeps the squares in int64
+    t = pow_mod_array(np.arange(X + 1, dtype=np.int64), e, q)
     # each slot accumulates one term per divisor, so at most ~1500 values
     # below q < 2^31: comfortably inside int64
     for dd in range(1, math.isqrt(X) + 1):

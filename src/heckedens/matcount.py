@@ -10,6 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError
+from .kernels import pow_mod_array  # noqa: F401  (re-exported to density and experiment)
 from .modring import PrimePower
 
 BRUTE_MAX = 10 ** 8
@@ -35,9 +36,10 @@ class TraceDetCount:
     method: str  # "formula" | "brute"
 
 
-def _require_unit(pp: PrimePower, d: int) -> int:
-    d %= pp.q
-    if d % pp.ell == 0:
+def _require_unit(pp: PrimePower, d: int | np.ndarray):
+    """d mod q, an int or an array; raises unless every entry is a unit."""
+    d = d % pp.q
+    if np.any(d % pp.ell == 0):
         raise ValueError(f"d = {d} is not a unit mod {pp}")
     return d
 
@@ -63,10 +65,13 @@ def count_trace_det(pp: PrimePower, t: int, d: int) -> TraceDetCount:
     """Exact |{A in GL2(Z/q) : tr A = t, det A = d}| from the z-profile:
     sum_{j<m} (j+1) z_j phi + z_m (m phi + q)."""
     prof = z_profile(pp, t, d)
-    phi, q, m = pp.phi, pp.q, pp.m
-    z = prof.counts
-    total = sum((j + 1) * z[j] * phi for j in range(m)) + z[m] * (m * phi + q)
-    return TraceDetCount(pp, t % q, d % q, total, "formula")
+    total = sum(w * z for w, z in zip(_count_weights(pp), prof.counts))
+    return TraceDetCount(pp, t % pp.q, d % pp.q, total, "formula")
+
+
+def _count_weights(pp: PrimePower) -> list[int]:
+    """Matrices per a of valuation j: (j+1) phi for j < m, m phi + q at m."""
+    return [(j + 1) * pp.phi for j in range(pp.m)] + [pp.m * pp.phi + pp.q]
 
 
 @lru_cache(maxsize=16)
@@ -110,22 +115,12 @@ def z_bound_check(pp: PrimePower, t: int, d: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# vectorized all-trace counts.  For odd ell they are gathers from a table
-# over discriminants; ell = 2 keeps the sweep over a, where for a unit a the
-# valuation of a^2 - a t + d equals the valuation of (a + d/a) - t, and for
-# a non-unit a it is zero
-
-
-def pow_mod_array(base: np.ndarray, e: int, q: int) -> np.ndarray:
-    """Elementwise base^e mod q by squaring; needs q^2 < 2^63."""
-    out = np.ones_like(base)
-    base = base % q
-    while e > 0:
-        if e & 1:
-            out = out * base % q
-        base = base * base % q
-        e >>= 1
-    return out
+# all-trace counts, for every ell, as gathers from one table of classes of
+# D = t^2 - 4d.  Where 2s = t has a solution (always for odd ell, for even t
+# when ell = 2), a^2 - a t + d = (a - s)^2 - E with E = s^2 - d = D/4.  The
+# z-profile of x^2 - E is unchanged by E -> c^2 E for a unit c, and a unit
+# is a square mod ell^j iff it is one mod ell (odd ell) or mod 8 (ell = 2).
+# For ell = 2 and odd t, a^2 - a t + d is odd for every a.
 
 
 @lru_cache(maxsize=16)
@@ -140,73 +135,69 @@ def capped_valuations(ell: int, m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def discriminant_classes(ell: int, m: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """For odd ell: (cls, values) with count_trace_det(t, d) = values[cls[D]]
-    for D = t^2 - 4d mod q.
+def discriminant_classes(ell: int, m: int) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+    """(cls, counts, profiles): for a unit d and D = t^2 - 4d mod len(cls),
+    c = cls[D] gives count_trace_det(t, d) = counts[c] and
+    z_profile(t, d).counts = profiles[c].
 
-    4(a^2 - a t + d) = (2a - t)^2 - D and s -> c s (c a unit) turn the
-    z-profile into that of s^2 - D, invariant under D -> c^2 D.  So the count
-    depends only on v = min(nu(D), m) and, for v < m, on the square class of
-    D / ell^v mod ell: class 2v for a square, 2v + 1 otherwise, 2m for D = 0.
-    Each class value is count_trace_det at one representative: t = 0,
-    d = -D/4 for v = 0 and t = 2, d = 1 - D/4 for v >= 1.
+    With 4 = ell^e times a unit (e = 2 for ell = 2, else 0), D is read mod
+    ell^M, M = m + e, so that E = D/4 is known mod q.  The class of D is
+    v = min(nu(D), M) and, for v < M, the square class of D's unit part mod
+    ell^min(1 + e, M - v): a square or not mod ell for odd ell (2m+1
+    classes), the unit part itself mod 8, 4 or 2 for ell = 2.  For ell = 2,
+    odd t gives D = 5 mod 8; D = 1, 3, 7 mod 8 and nu(D) = 1 come from no
+    (t, unit d) and keep a zero profile, leaving 4m - 3 classes in use for
+    m >= 2.  Each profile is z_profile at one (t, d) of the class, t <= 2.
     """
-    if ell == 2:
-        raise ValueError("discriminant classes need odd ell")
-    q = ell ** m
+    e = 2 if ell == 2 else 0
+    M, N = m + e, ell ** (m + e)
     pp = PrimePower(ell, m)
-    v = capped_valuations(ell, m).astype(np.int64)
-    unit_part = np.arange(q, dtype=np.int64) // ell ** np.minimum(v, m - 1) % ell
-    square = np.zeros(ell, dtype=bool)
-    square[np.arange(1, ell) ** 2 % ell] = True
-    cls = np.where(v == m, 2 * m, 2 * v + ~square[unit_part]).astype(np.int8)
+    v = capped_valuations(ell, M).astype(np.int64)
+    unit = np.arange(N, dtype=np.int64) // ell ** v % ell ** np.minimum(1 + e, M - v)
+    if ell == 2:
+        L, label, reps = 4, unit // 2, (1, 3, 5, 7)
+    else:
+        square = np.zeros(ell, dtype=bool)
+        square[np.arange(ell) ** 2 % ell] = True
+        L, label, reps = 2, ~square[unit], (1, int(np.argmin(square[1:])) + 1)
+    cls = (L * v + label).astype(np.int8)
     cls.flags.writeable = False
-    nonsquare = int(np.flatnonzero(~square[1:])[0]) + 1
-    inv4 = pow(4, -1, q)
-    values = []
-    for j in range(2 * m + 1):
-        D = 0 if j == 2 * m else ell ** (j // 2) * (nonsquare if j % 2 else 1)
-        t, d = (0, -D * inv4) if j < 2 else (2, 1 - D * inv4)
-        values.append(count_trace_det(pp, t, d).count)
-    return cls, tuple(values)
+    inv = pow(4 // ell ** e, -1, pp.q)
+    profiles = np.zeros((L * M + 1, m + 1), dtype=np.int64)
+    for c in range(len(profiles)):
+        D = ell ** (c // L) * reps[c % L] % N
+        if cls[D] != c:
+            continue  # a label that does not occur at this valuation
+        for t in (0, 1, 2):
+            x, r = divmod(t * t - D, ell ** e)
+            if r == 0 and x % ell:
+                profiles[c] = z_profile(pp, t, x * inv).counts
+                break
+    profiles.flags.writeable = False
+    weights = _count_weights(pp)
+    counts = tuple(sum(w * int(z) for w, z in zip(weights, row)) for row in profiles)
+    return cls, counts, profiles
 
 
-def _units_and_inverses(pp: PrimePower) -> tuple[np.ndarray, np.ndarray]:
-    a = np.arange(pp.q, dtype=np.int64)
-    units = a[a % pp.ell != 0]
-    return units, pow_mod_array(units, pp.phi - 1, pp.q)
+def _trace_classes(pp: PrimePower, d: int | np.ndarray) -> np.ndarray:
+    """Class of (t, d) for every trace t, along a last axis over t."""
+    d = _require_unit(pp, np.asarray(d, dtype=np.int64))
+    cls = discriminant_classes(pp.ell, pp.m)[0]
+    N = len(cls)
+    t = np.arange(pp.q, dtype=np.int64)
+    # t^2 - 4d with both terms reduced lies in (-N, N), and a negative index
+    # counts back from the end: the gather reads cls at t^2 - 4d mod N
+    return cls[t * t % N - (4 * d % N)[..., None]]
 
 
 def z_profiles_for_det(pp: PrimePower, d: int) -> np.ndarray:
     """(m+1) x q matrix: row j holds z_j(t) for every trace t at fixed d."""
-    d = _require_unit(pp, d)
-    q, ell, m = pp.q, pp.ell, pp.m
-    units, inv = _units_and_inverses(pp)
-    ahat = (units + d * inv) % q
-    t = np.arange(q, dtype=np.int64)
-    out = np.zeros((m + 1, q), dtype=np.int64)
-    nj_prev = None
-    for j in range(m, 0, -1):
-        lj = ell ** j
-        nj = np.bincount(ahat % lj, minlength=lj)[t % lj]
-        if nj_prev is None:
-            out[m] = nj
-        else:
-            out[j] = nj - nj_prev
-        nj_prev = nj
-    out[0] = q - nj_prev
-    return out
+    return discriminant_classes(pp.ell, pp.m)[2][_trace_classes(pp, d)].T
 
 
-def trace_det_counts_for_det(pp: PrimePower, d: int) -> np.ndarray:
-    """Length-q vector of count_trace_det(pp, t, d) over all traces t: a
-    gather from the discriminant classes for odd ell, a sweep for ell = 2."""
-    if pp.ell != 2:
-        d = _require_unit(pp, d)
-        cls, values = discriminant_classes(pp.ell, pp.m)
-        t = np.arange(pp.q, dtype=np.int64)
-        return np.array(values, dtype=np.int64)[cls[(t * t - 4 * d) % pp.q]]
-    z = z_profiles_for_det(pp, d)
-    phi, q, m = pp.phi, pp.q, pp.m
-    weights = np.array([(j + 1) * phi for j in range(m)] + [m * phi + q], dtype=np.int64)
-    return weights @ z
+def trace_det_counts_for_det(pp: PrimePower, d: int | np.ndarray) -> np.ndarray:
+    """count_trace_det(pp, t, d) over all traces t, gathered from the class
+    counts: a length-q vector for one unit d, a (len(d), q) table for an
+    array of them."""
+    counts = np.array(discriminant_classes(pp.ell, pp.m)[1], dtype=np.int64)
+    return counts[_trace_classes(pp, d)]

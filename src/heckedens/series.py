@@ -216,22 +216,15 @@ def _fft_convolve_mod(a: np.ndarray, b: np.ndarray, q: int, X: int) -> np.ndarra
 
 
 def _naive_convolve_mod(a: np.ndarray, b: np.ndarray, q: int, X: int) -> np.ndarray:
-    if q < 2 ** 31:
-        # direct int64 sums over w-bit pieces of b, so (X+1)(q-1)(2^w - 1) < 2^62
-        w = 62 - ((X + 1) * (q - 1)).bit_length()
-        out = np.zeros(X + 1, dtype=np.int64)
-        for shift in range(0, (q - 1).bit_length(), w):
-            piece = (b >> shift) & ((1 << w) - 1)
-            out = (out + np.convolve(a, piece)[: X + 1] % q * pow(2, shift, q)) % q
-        return out
-    ca, cb = [int(v) for v in a], [int(v) for v in b]
-    out = [0] * (X + 1)
-    for i, vi in enumerate(ca):
-        if vi == 0 or i > X:
-            continue
-        for j, vj in enumerate(cb[: X - i + 1]):
-            out[i + j] += vi * vj
-    return np.asarray([v % q for v in out], dtype=np.int64)
+    if q >= 2 ** 31:
+        return np.asarray([v % q for v in _exact_convolve(a.tolist(), b.tolist(), X)], dtype=np.int64)
+    # direct int64 sums over w-bit pieces of b, so (X+1)(q-1)(2^w - 1) < 2^62
+    w = 62 - ((X + 1) * (q - 1)).bit_length()
+    out = np.zeros(X + 1, dtype=np.int64)
+    for shift in range(0, (q - 1).bit_length(), w):
+        piece = (b >> shift) & ((1 << w) - 1)
+        out = (out + np.convolve(a, piece)[: X + 1] % q * pow(2, shift, q)) % q
+    return out
 
 
 def _exact_convolve(a: list, b: list, X: int) -> list:

@@ -8,6 +8,7 @@ statistical scan plus the weight-12 congruence regression at ell = 691.
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -223,7 +224,8 @@ def check_exceptional_flag(cache_dir=None) -> tuple[bool, str]:
 
 
 def run(level: str = "quick", cache_dir: str | None = None):
-    """Run the suite; returns a list of (name, ok, detail)."""
+    """Run the suite; returns a list of (name, ok, detail), each detail
+    ending in the check's wall time."""
     if level not in ("quick", "full"):
         raise ValueError(f"level must be quick or full, got {level}")
     full = level == "full"
@@ -250,9 +252,10 @@ def run(level: str = "quick", cache_dir: str | None = None):
         ]
     results = []
     for name, fn in checks:
+        t0 = time.perf_counter()
         try:
             ok, detail = fn()
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append((name, ok, detail))
+        results.append((name, ok, f"{detail} ({time.perf_counter() - t0:.2f} s)"))
     return results

@@ -156,6 +156,8 @@ def test_verify_quick_exit_zero(capsys):
     lines = out.splitlines()
     assert all(l.startswith(("PASS", "FAIL")) or "checks passed" in l for l in lines)
     assert not any(l.startswith("FAIL") for l in lines)
+    # every check reports its wall time
+    assert all(l.endswith(" s)") for l in lines if l.startswith("PASS"))
 
 
 def test_verify_failure_exit_three(capsys, monkeypatch):

@@ -126,21 +126,46 @@ def _lift_roots(gammas, ell, m):
     return roots
 
 
+def _digit_lifting_density(params, pp, count=None):
+    """delta_F summed cell by cell over the digit-lifted roots w of each g_u,
+    count(w, d) matrices each (default: count_trace_det)."""
+    k, n, ell, m, q = params.k, params.n, pp.ell, pp.m, pp.q
+    count = count or (lambda w, d: count_trace_det(pp, w, d).count)
+    num = 0
+    for u in range(1, q):
+        if u % ell == 0:
+            continue
+        d = pow(u, 2 * k - n - 1, q)
+        for w in _lift_roots(gamma_roots(u, params, pp).gamma, ell, m):
+            num += count(w, d)
+    return Fraction(num, generic_L_degree(2 * k - n, ell, m))
+
+
 def test_delta_F_against_digit_lifting():
     for k, n in ((10, 2), (12, 4), (16, 6)):
         params = LiftParams(k, n)
-        for ell, m in ((17, 2), (7, 3), (19, 2)):
+        for ell, m in ((17, 2), (7, 3), (19, 2), (2, 6), (2, 8)):
             pp = PrimePower(ell, m)
-            q = pp.q
-            num = 0
-            for u in range(1, q):
-                if u % ell == 0:
-                    continue
-                d = pow(u, 2 * k - n - 1, q)
-                for w in _lift_roots(gamma_roots(u, params, pp).gamma, ell, m):
-                    num += count_trace_det(pp, w, d).count
-            expect = Fraction(num, generic_L_degree(2 * k - n, ell, m))
-            assert delta_F_generic(params, pp).delta_exact == expect
+            assert delta_F_generic(params, pp).delta_exact == _digit_lifting_density(params, pp)
+
+
+def test_delta_F_two_adic_moduli_admitted():
+    pp = PrimePower(2, 12)
+    # a^2 - a w + d is odd for every a when w is odd, and is (a - w/2)^2 - E
+    # with E = (w/2)^2 - d when w is even: pairs sharing (w mod 2, E) share
+    # their count, so (12, 4)'s 114688 roots take a few thousand z-profiles
+    memo = {}
+
+    def count(w, d):
+        key = (1, 0) if w % 2 else (0, ((w // 2) ** 2 - d) % pp.q)
+        if key not in memo:
+            memo[key] = count_trace_det(pp, w, d).count
+        return memo[key]
+
+    for k, n in ((10, 2), (12, 4)):
+        params = LiftParams(k, n)
+        assert density.density_cells(params, pp, pp.phi) <= DENSITY_CELLS_MAX
+        assert delta_F_generic(params, pp).delta_exact == _digit_lifting_density(params, pp, count)
 
 
 def test_density_guard_refuses_before_building(monkeypatch):

@@ -117,7 +117,7 @@ def test_z_bound_examples():
 
 
 def test_vectorized_sweeps_match_direct():
-    for ell, m in ((2, 1), (2, 3), (3, 2), (5, 1), (7, 2), (3, 3)):
+    for ell, m in ((2, 1), (2, 3), (3, 2), (5, 1), (7, 2), (3, 3), (2, 8), (2, 10)):
         pp = PrimePower(ell, m)
         for d in (1, pp.q - 1, 2 if 2 % ell else 3):
             d %= pp.q
@@ -128,14 +128,21 @@ def test_vectorized_sweeps_match_direct():
             for t in range(pp.q):
                 assert tuple(int(v) for v in zmat[:, t]) == z_profile(pp, t, d).counts
                 assert int(cvec[t]) == count_trace_det(pp, t, d).count
+    # every unit determinant in one call, against exhaustive enumeration
+    for ell, m in ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (5, 2)):
+        pp = PrimePower(ell, m)
+        units = np.flatnonzero(np.arange(pp.q) % ell)
+        table = trace_det_counts_for_det(pp, units)
+        assert table.shape == (len(units), pp.q)
+        assert np.array_equal(table, _brute_table(ell, m)[:, units].T)
 
 
 def test_discriminant_gather_matches_count_and_brute():
     for ell, m in ((3, 1), (5, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (11, 2), (5, 3)):
         pp = PrimePower(ell, m)
         q = pp.q
-        cls, values = discriminant_classes(ell, m)
-        assert len(values) == 2 * m + 1
+        cls, values, profiles = discriminant_classes(ell, m)
+        assert len(values) == len(profiles) == 2 * m + 1 and len(cls) == q
         c = np.array(values, dtype=np.int64)[cls]
         t = np.arange(q)
         brute = _brute_table(ell, m) if q ** 4 <= BRUTE_MAX else None
