@@ -1,6 +1,12 @@
 """Empirical Chebotarev verification: evaluate lift eigenvalues mod ell^m
 over real eigenform coefficients, count congruence classes of primes, and
-compare against the exact generic densities with binomial error envelopes."""
+compare against the exact generic densities with binomial error envelopes.
+
+Each scan sieves its primes, reads a(p) from the eigenform cache and works
+on the flat cell index u * q + a(p), u = p mod q: `scan_pi_f` bincounts it
+into the (u, v) table, `scan_pi_F` reads the root-set mask of g_u there and
+also multiplies the factors a - gamma_i(u) of lambda_F, each brought into
+[0, q) by one conditional + q, since a and gamma_i(u) are residues."""
 
 from __future__ import annotations
 
@@ -93,6 +99,14 @@ def _expected_table(weight: int, pp: PrimePower) -> tuple[np.ndarray, int]:
     return num, generic_L_degree(weight, pp.ell, pp.m)
 
 
+def _deviation_table(counts: np.ndarray, delta: np.ndarray, pi_x: int) -> tuple[np.ndarray, float]:
+    """(counts - delta pi_x) / sqrt(delta (1 - delta) pi_x) per cell, 0 where
+    that sigma is 0, and the largest magnitude in the table."""
+    sig = np.sqrt(delta * (1.0 - delta) * pi_x)
+    sigmas = np.divide(counts - delta * pi_x, sig, out=np.zeros_like(sig), where=sig > 0)
+    return sigmas, float(max(sigmas.max(), -sigmas.min()))
+
+
 def scan_pi_f(
     weight: int,
     pp: PrimePower,
@@ -110,11 +124,7 @@ def scan_pi_f(
     counts = np.bincount(u * q + v, minlength=q * q).reshape(q, q)
     exp_num, exp_den = _expected_table(weight, pp)
     pi_x = len(primes)
-    delta = exp_num / exp_den
-    sig = np.sqrt(delta * (1.0 - delta) * pi_x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sigmas = np.where(sig > 0, (counts - delta * pi_x) / np.where(sig > 0, sig, 1.0), 0.0)
-    dev = float(np.max(np.abs(sigmas)))
+    sigmas, dev = _deviation_table(counts, exp_num / exp_den, pi_x)
     return ScanResult(
         mode="pi_f_table",
         modulus=pp,
@@ -145,15 +155,20 @@ def scan_pi_F(
     series = eigenform_coeffs(params.source_weight, x, pp, cache_dir)
     u = primes % q
     a = series.coeffs[primes]
-    # direct: product over i of (a + p^(k-i) + p^(k-n-1+i)) = (a - gamma_i(u))
-    lam = np.ones(len(primes), dtype=np.int64)
+    # direct: product over i of (a + p^(k-i) + p^(k-n-1+i)) = (a - gamma_i(u));
+    # a and gamma_i(u) are residues in [0, q), so one conditional + q reduces
+    # each difference
+    lam = None
     for gamma in gamma_table(params, q, np.arange(q, dtype=np.int64)).T:
-        lam = lam * ((a - gamma[u]) % q) % q
-    direct = int(np.sum(lam == 0))
+        f = a - gamma[u]
+        f += q * (f < 0)
+        lam = f if lam is None else lam * f % q
+    direct = int(np.count_nonzero(lam == 0))
     # root-set reduction: lambda vanishes iff a_f(p) hits a root of g_(p mod q)
-    root_mask = np.zeros((q, q), dtype=bool)
-    root_mask[root_cells(params, pp)] = True
-    rootset = int(np.sum(root_mask[u, a]))
+    root_u, root_w = root_cells(params, pp)
+    root_mask = np.zeros(q * q, dtype=bool)
+    root_mask[root_u * q + root_w] = True
+    rootset = int(np.count_nonzero(root_mask[u * q + a]))
     report = delta_F_generic(params, pp)
     pi_x = len(primes)
     delta = float(report.delta_exact)

@@ -1,4 +1,7 @@
-"""Segmented prime generation and counting for scans up to x ~ 1e8."""
+"""Segmented odd-only prime sieve (Bays and Hudson, BIT 17, 1977) for scans
+up to x ~ 1e8: each segment of SEGMENT_SIZE integers is a bool mask over its
+odd numbers, crossed off by the odd base primes up to sqrt(hi), which come
+from the same sieve; 2 is yielded on its own."""
 
 from __future__ import annotations
 
@@ -13,17 +16,6 @@ SEGMENT_SIZE = 1 << 20
 MAX_HI = 10 ** 9
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    if limit < 2:
-        return np.array([], dtype=np.int64)
-    is_p = np.ones(limit + 1, dtype=bool)
-    is_p[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if is_p[p]:
-            is_p[p * p :: p] = False
-    return np.flatnonzero(is_p).astype(np.int64)
-
-
 def iter_prime_segments(lo: int, hi: int, segment: int = SEGMENT_SIZE) -> Iterator[np.ndarray]:
     """Yield primes in [lo, hi] as one int64 array per segment, in order."""
     if hi > MAX_HI:
@@ -31,31 +23,40 @@ def iter_prime_segments(lo: int, hi: int, segment: int = SEGMENT_SIZE) -> Iterat
     if lo > hi:
         raise ValueError(f"empty range [{lo}, {hi}]")
     lo = max(lo, 2)
-    base = _simple_sieve(math.isqrt(hi))
+    root = math.isqrt(hi)
+    # the odd base primes, sieved here as one segment
+    base = next(iter_prime_segments(3, root, segment=root)) if root >= 3 else np.array([], dtype=np.int64)
     start = lo
     while start <= hi:
         end = min(start + segment - 1, hi)
-        mask = np.ones(end - start + 1, dtype=bool)
-        for p in base:
-            p = int(p)
-            first = max(p * p, ((start + p - 1) // p) * p)
-            if first > end:
-                continue
-            mask[first - start :: p] = False
-        if start <= 1:
-            mask[: 2 - start] = False
-        seg = np.flatnonzero(mask) + start
-        # base primes p with p*p > p are never crossed off below p*p
-        yield seg[(seg >= lo)]
+        # from start = 2 the mask begins at 1, which no base prime crosses
+        # off and which is then read as 2
+        first_odd = start | 1 if start > 2 else 1
+        mask = np.ones(max(0, (end - first_odd) // 2 + 1), dtype=bool)
+        # the first odd multiple >= max(p^2, start) of each base prime, as a
+        # mask index; starting at p^2 leaves the base primes themselves
+        first = np.maximum(base * base, first_odd)
+        first = -(-first // base) * base
+        first += base * (first % 2 == 0)
+        index = (first - first_odd) // 2
+        hits = index < len(mask)
+        for p, i in zip(base[hits].tolist(), index[hits].tolist()):
+            mask[i::p] = False
+        seg = np.flatnonzero(mask)
+        seg *= 2
+        seg += first_odd
+        if start == 2:
+            seg[0] = 2
+        yield seg
         start = end + 1
 
 
 def primes_in(lo: int, hi: int, segment: int = SEGMENT_SIZE) -> np.ndarray:
     """All primes in [lo, hi], increasing, memory proportional to segment size."""
     parts = list(iter_prime_segments(lo, hi, segment))
-    if not parts:
-        return np.array([], dtype=np.int64)
-    return np.concatenate(parts)
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.array([], dtype=np.int64)
 
 
 def prime_count(x: int) -> int:

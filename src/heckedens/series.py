@@ -148,17 +148,20 @@ def _check_point() -> tuple[int, np.ndarray]:
     return r, pieces
 
 
-def _value_at(v: np.ndarray) -> int:
-    """v(r) mod P for int64 |v_i| < 2^53, by Horner over blocks; v's 18-bit
-    pieces times the powers' 16-bit pieces sum below 2^47, exact in float64."""
+def _value_at(v: np.ndarray, bits: int) -> int:
+    """v(r) mod P for int64 |v_i| < 2^bits, by Horner over blocks; v is cut
+    into ceil(bits/18) pieces, the top one signed, and each piece (|piece| <=
+    2^18) times the powers' 16-bit pieces sums over a block below 2^47,
+    exact in float64."""
     r, pieces = _check_point()
     step = pow(r, _CHECK_BLOCK, _CHECK_P)
+    top = max(1, -(-bits // 18)) - 1
     acc = 0
     for start in range((len(v) - 1) // _CHECK_BLOCK * _CHECK_BLOCK, -1, -_CHECK_BLOCK):
         chunk = v[start : start + _CHECK_BLOCK]
-        split = np.stack([chunk & 0x3FFFF, (chunk >> 18) & 0x3FFFF, chunk >> 36]).astype(np.float64)
-        sums = (split @ pieces[: len(chunk)]).tolist()
-        acc = acc * step + sum(int(sums[i][j]) << (18 * i + 16 * j) for i in range(3) for j in range(4))
+        split = np.stack([(chunk >> (18 * i)) & 0x3FFFF for i in range(top)] + [chunk >> (18 * top)])
+        sums = (split.astype(np.float64) @ pieces[: len(chunk)]).tolist()
+        acc = acc * step + sum(int(sums[i][j]) << (18 * i + 16 * j) for i in range(top + 1) for j in range(4))
         acc %= _CHECK_P
     return acc
 
@@ -184,7 +187,7 @@ def _fft_convolve_mod(a: np.ndarray, b: np.ndarray, q: int, X: int) -> np.ndarra
         centred = np.where(v > q // 2, v - q, v)
         sign, mag = np.sign(centred), np.abs(centred)
         limbs = [sign * ((mag >> (L * i)) & ((1 << L) - 1)) for i in range(k)]
-        return [np.fft.rfft(x, n) for x in limbs], [_value_at(x) for x in limbs], [int(x[X]) for x in limbs]
+        return [np.fft.rfft(x, n) for x in limbs], [_value_at(x, L) for x in limbs], [int(x[X]) for x in limbs]
 
     fa, ra, ta = split(a)
     fb, rb, tb = (fa, ra, ta) if square else split(b)
@@ -207,8 +210,9 @@ def _fft_convolve_mod(a: np.ndarray, b: np.ndarray, q: int, X: int) -> np.ndarra
         top = sum(ta[i] * tb[j] for i, j in pairs)
         if wrapped:
             c[0] -= top
-        if int(np.abs(c).max()) > len(pairs) * (X + 1) * digit * digit or (
-            _value_at(c) + top * r_top - sum(ra[i] * rb[j] for i, j in pairs)
+        bound = len(pairs) * (X + 1) * digit * digit
+        if int(np.abs(c).max()) > bound or (
+            _value_at(c, bound.bit_length()) + top * r_top - sum(ra[i] * rb[j] for i, j in pairs)
         ) % _CHECK_P:
             raise ArithmeticError(f"limb product {s} of a length-{n} transform failed its check (X={X}, q={q})")
         out = (out + c[: X + 1] % q * pow(2, L * s, q)) % q

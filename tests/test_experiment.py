@@ -6,6 +6,7 @@ import pytest
 from heckedens.density import LiftParams, delta_uv_generic
 from heckedens.errors import CapacityError
 from heckedens.experiment import (
+    _deviation_table,
     grh_error_scale,
     lambda_F_exact,
     lambda_F_mod,
@@ -102,6 +103,39 @@ def test_scan_pi_F_identity_and_partition():
         lam = lambda_F_mod(int(series[p]), p, params, pp)
         manual += lam == 0
     assert manual == res.counts
+
+
+@pytest.mark.parametrize("ell, m", [(2, 3), (3, 2), (5, 2), (3, 3), (7, 3)])
+def test_scan_pi_F_direct_count_matches_per_prime_product(ell, m):
+    # one, two and three factors of lambda_F, each difference a - gamma_i(u)
+    # reduced into [0, q) before it is multiplied
+    pp = PrimePower(ell, m)
+    x = 10 ** 4
+    ps = primes_in(2, x)
+    ps = ps[ps != ell].tolist()
+    for params in (LiftParams(10, 2), LiftParams(12, 4), LiftParams(16, 6)):
+        res = scan_pi_F(params, pp, x)
+        a = eigenform_coeffs(params.source_weight, x, pp).coeffs
+        manual = sum(lambda_F_mod(int(a[p]), p, params, pp) == 0 for p in ps)
+        assert res.counts == manual == res.rootset_count, params
+
+
+def test_deviation_table_matches_the_masked_quotient():
+    # the former two-pass formula, on seeded tables with zero-sigma cells
+    rng = np.random.default_rng(88)
+    for q, pi_x in ((5, 1228), (23, 22043), (343, 22041)):
+        den = int(rng.integers(q, 50 * q))
+        num = rng.integers(0, 3, (q, q)) * rng.integers(0, den // q + 1, (q, q))
+        num[0] = 0
+        num[1, 1] = den  # delta = 1, sigma 0
+        counts = rng.integers(0, 2 * pi_x // (q * q) + 2, (q, q))
+        delta = num / den
+        sig = np.sqrt(delta * (1.0 - delta) * pi_x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            old = np.where(sig > 0, (counts - delta * pi_x) / np.where(sig > 0, sig, 1.0), 0.0)
+        sigmas, dev = _deviation_table(counts, delta, pi_x)
+        assert sigmas.dtype == old.dtype and sigmas.tobytes() == old.tobytes()
+        assert dev == float(np.max(np.abs(old))) > 0
 
 
 def test_scan_pi_F_parity_reduction_mod_two():

@@ -47,6 +47,47 @@ def test_interior_ranges():
     assert primes_in(24, 28).tolist() == []
 
 
+def _sieve_triples():
+    """About 200 seeded (lo, hi, segment) triples over the sieve's edge cases."""
+    rng = np.random.default_rng(1977)
+    out = []
+    for lo in (0, 1, 2, 3):
+        for segment in (1, 2, 3, 4, 7, 64):
+            out.append((lo, lo + int(rng.integers(0, 3000)), segment))
+    for p in (2, 3, 5, 7, 11, 13, 31, 97, 173):
+        sq = p * p
+        for hi in (sq - 1, sq):
+            out.append((int(rng.integers(0, 6)), hi, int(rng.integers(1, 50))))
+        for k in (1, 2, 5):
+            segment = int(rng.integers(1, max(2, (sq - 2) // k)))
+            out.append((sq - k * segment, sq + 500, segment))  # a segment starts at p^2
+            out.append((sq + 1 - k * segment, sq + 500, segment))  # and one ends there
+        out.append((p, p, int(rng.integers(1, 4))))  # lo = hi, a prime
+        out.append((sq, sq, 1))
+    while len(out) < 200:
+        lo = int(rng.integers(0, 20000))
+        out.append((lo, lo + int(rng.integers(0, 10000)), int(rng.integers(1, 4000))))
+    return [(max(lo, 0), hi, segment) for lo, hi, segment in out]
+
+
+def test_odd_sieve_matches_one_shot_sieve():
+    triples = _sieve_triples()
+    assert len(triples) >= 200
+    assert {lo for lo, _, _ in triples} >= {0, 1, 2, 3}
+    assert {segment % 2 for _, _, segment in triples} == {0, 1}
+    ref = _simple_sieve(max(hi for _, hi, _ in triples))
+    for lo, hi, segment in triples:
+        want = ref[(ref >= lo) & (ref <= hi)]
+        got = primes_in(lo, hi, segment=segment)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want), (lo, hi, segment)
+        parts = list(iter_prime_segments(lo, hi, segment=segment))
+        starts = range(max(lo, 2), hi + 1, segment)
+        assert len(parts) == len(starts)
+        for start, part in zip(starts, parts):
+            assert np.all((part >= start) & (part < start + segment))
+
+
 def test_pi_monotone_steps():
     ref = _simple_sieve(500)
     pi = np.cumsum(np.isin(np.arange(501), ref))

@@ -233,6 +233,24 @@ def test_planned_bound_below_half_where_admitted():
                     assert _rounding_bound(X, plan.n, fewer, min((1 << wide) - 1, q // 2)) >= 0.5
 
 
+def test_value_at_matches_horner_at_every_piece_boundary():
+    # one, two, three and four 18-bit pieces, at and beside each boundary,
+    # over two full blocks and a partial one, with the extreme magnitudes
+    r, _ = series._check_point()
+    P = series._CHECK_P
+    rng = np.random.default_rng(8)
+    n = 2 * series._CHECK_BLOCK + 5
+    for bits in (1, 2, 17, 18, 19, 35, 36, 37, 53, 54, 55, 62):
+        hi = (1 << bits) - 1
+        v = rng.integers(-hi, hi, n, endpoint=True)
+        v[:4] = (hi, -hi, 0, -1)
+        v[-1] = -hi
+        want = 0
+        for x in reversed(v.tolist()):
+            want = (want * r + x) % P
+        assert series._value_at(v, bits) == want, bits
+
+
 def test_random_evaluation_catches_a_wrong_coefficient(monkeypatch):
     pp = PrimePower(3, 7)
     rng = np.random.default_rng(5)
@@ -258,7 +276,7 @@ def test_random_evaluation_catches_a_wrong_coefficient(monkeypatch):
     # the exact bound on |c_s| still catches it
     from heckedens import series
 
-    monkeypatch.setattr(series, "_value_at", lambda v: 0)
+    monkeypatch.setattr(series, "_value_at", lambda v, bits: 0)
     series_mul(a, b)
 
     def huge(*args, **kwargs):
