@@ -216,9 +216,14 @@ def delta_F_generic(params: LiftParams, pp: PrimePower) -> DensityReport:
     discriminant_classes, for every ell.  Inputs above DENSITY_CELLS_MAX
     cells raise CapacityError before any array is built.
     """
+    return delta_F_from_roots(params, pp, *root_cells(params, pp))
+
+
+def delta_F_from_roots(params: LiftParams, pp: PrimePower, u: np.ndarray, w: np.ndarray) -> DensityReport:
+    """delta_F_generic from the root cells (u, w) that root_cells(params, pp)
+    returns, for a caller that also needs them."""
     wf = params.source_weight
     q, ell, m = pp.q, pp.ell, pp.m
-    u, w = root_cells(params, pp)
     den = generic_L_degree(wf, ell, m)
     cls, counts, _ = discriminant_classes(ell, m)
     d = pow_mod_array(u, wf - 1, q)

@@ -2,31 +2,47 @@
 over real eigenform coefficients, count congruence classes of primes, and
 compare against the exact generic densities with binomial error envelopes.
 
-Each scan sieves its primes, reads a(p) from the eigenform cache and works
-on the flat cell index u * q + a(p), u = p mod q: `scan_pi_f` bincounts it
-into the (u, v) table, `scan_pi_F` reads the root-set mask of g_u there and
-also multiplies the factors a - gamma_i(u) of lambda_F, each brought into
-[0, q) by one conditional + q, since a and gamma_i(u) are residues."""
+Each scan reads a(0..x) from the eigenform cache as stored (uint8 or uint16
+residues, never widened as a whole) and walks the primes p <= x, p != ell,
+one sieve segment at a time, in blocks of at most _BLOCK_PRIMES.  A block
+forms u = p mod q, gathers a(p) and the flat cell index u * q + a(p):
+`scan_pi_f` adds its cells into the (u, v) table, `scan_pi_F` reads the
+root-set mask of g_u there and also multiplies the factors a - gamma_i(u)
+of lambda_F, each brought into [0, q) by one conditional + q, since a and
+gamma_i(u) are residues.  No array of a scan is pi(x) long, and a table
+scan's q x q tables are held to DENSE_MAX_BYTES."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .density import DensityReport, LiftParams, delta_F_generic, gamma_table, root_cells
+from .density import DensityReport, LiftParams, delta_F_from_roots, gamma_table, root_cells
 from .errors import CapacityError
 from .matcount import pow_mod_array, trace_det_counts_for_det
 from .modring import PrimePower
-from .primes import primes_in
-from .series import eigenform_coeffs
+from . import series
+from .primes import iter_prime_segments
+# perfbench/selftest.py patches experiment.eigenform_coeffs; the scans
+# themselves read series._cached_residues
+from .series import eigenform_coeffs  # noqa: F401
 from .tower import generic_L_degree
 
 TABLE_MAX_Q = 10 ** 4
 SIGMA_PASS = 4.0
 SIGMA_EXCEPTIONAL = 10.0
+# primes per block of a scan's passes, as density._BLOCK_CELLS bounds the
+# root candidates: every per-prime temporary is at most this long
+_BLOCK_PRIMES = 1 << 13
+# bytes per cell of the q x q tables a table scan holds at its peak: five of
+# int64 or float64 (counts, expected numerators, densities, sigmas and their
+# denominators) and two bool masks; measured, scan_pi_f added 5.0-5.2 times
+# 8 q^2 bytes to peak RSS at q = 1009 and 2003
+_TABLE_CELL_BYTES = 5 * 8 + 2
 
 
 @dataclass(frozen=True)
@@ -82,11 +98,25 @@ def lambda_F_mod(a_p: int, p: int, params: LiftParams, pp: PrimePower) -> int:
     return out
 
 
-def _scan_primes(pp: PrimePower, x: int) -> np.ndarray:
+def _prime_blocks(pp: PrimePower, x: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(p, p mod q) for the primes p <= x other than ell, in blocks of at
+    most _BLOCK_PRIMES, one sieve segment at a time; ell is dropped from the
+    block holding it."""
+    q = pp.q
+    for seg in iter_prime_segments(2, x):
+        for i in range(0, len(seg), _BLOCK_PRIMES):
+            p = seg[i : i + _BLOCK_PRIMES]
+            if p[0] <= pp.ell <= p[-1]:
+                p = p[p != pp.ell]
+            # floor division by a scalar is about twice as fast as %
+            yield p, p - p // q * q
+
+
+def _scan_residues(weight: int, pp: PrimePower, x: int, cache_dir: str | None) -> np.ndarray:
+    """a(0..x) as the cache stores them, after the argument checks."""
     if x < 100:
         raise ValueError("x must be >= 100")
-    ps = primes_in(2, x)
-    return ps[ps != pp.ell]
+    return series._cached_residues(series.cache_dir_from_env(cache_dir), weight, x, pp)
 
 
 def _expected_table(weight: int, pp: PrimePower) -> tuple[np.ndarray, int]:
@@ -102,8 +132,15 @@ def _expected_table(weight: int, pp: PrimePower) -> tuple[np.ndarray, int]:
 def _deviation_table(counts: np.ndarray, delta: np.ndarray, pi_x: int) -> tuple[np.ndarray, float]:
     """(counts - delta pi_x) / sqrt(delta (1 - delta) pi_x) per cell, 0 where
     that sigma is 0, and the largest magnitude in the table."""
-    sig = np.sqrt(delta * (1.0 - delta) * pi_x)
-    sigmas = np.divide(counts - delta * pi_x, sig, out=np.zeros_like(sig), where=sig > 0)
+    sig = 1.0 - delta
+    sig *= delta
+    sig *= pi_x
+    np.sqrt(sig, out=sig)
+    live = sig > 0
+    sigmas = delta * pi_x
+    np.subtract(counts, sigmas, out=sigmas)
+    np.divide(sigmas, sig, out=sigmas, where=live)
+    sigmas[~live] = 0.0
     return sigmas, float(max(sigmas.max(), -sigmas.min()))
 
 
@@ -117,13 +154,20 @@ def scan_pi_f(
     q = pp.q
     if q > TABLE_MAX_Q:
         raise CapacityError(f"table scan needs ell^m <= {TABLE_MAX_Q}, got {q}")
-    primes = _scan_primes(pp, x)
-    series = eigenform_coeffs(weight, x, pp, cache_dir)
-    u = primes % q
-    v = series.coeffs[primes]
-    counts = np.bincount(u * q + v, minlength=q * q).reshape(q, q)
+    nbytes = _TABLE_CELL_BYTES * q * q
+    if nbytes > series.DENSE_MAX_BYTES:
+        raise CapacityError(
+            f"table scan mod {q} needs {nbytes / 2 ** 30:.1f} GiB of q x q tables; "
+            f"the limit is {series.DENSE_MAX_BYTES / 2 ** 30:.1f} GiB"
+        )
+    residues = _scan_residues(weight, pp, x, cache_dir)
+    counts = np.zeros(q * q, dtype=np.int64)
+    pi_x = 0
+    for p, u in _prime_blocks(pp, x):
+        np.add.at(counts, u * q + residues[p], 1)
+        pi_x += len(p)
+    counts = counts.reshape(q, q)
     exp_num, exp_den = _expected_table(weight, pp)
-    pi_x = len(primes)
     sigmas, dev = _deviation_table(counts, exp_num / exp_den, pi_x)
     return ScanResult(
         mode="pi_f_table",
@@ -151,26 +195,27 @@ def scan_pi_F(
     q = pp.q
     if q > TABLE_MAX_Q:
         raise CapacityError(f"scan needs ell^m <= {TABLE_MAX_Q}, got {q}")
-    primes = _scan_primes(pp, x)
-    series = eigenform_coeffs(params.source_weight, x, pp, cache_dir)
-    u = primes % q
-    a = series.coeffs[primes]
-    # direct: product over i of (a + p^(k-i) + p^(k-n-1+i)) = (a - gamma_i(u));
-    # a and gamma_i(u) are residues in [0, q), so one conditional + q reduces
-    # each difference
-    lam = None
-    for gamma in gamma_table(params, q, np.arange(q, dtype=np.int64)).T:
-        f = a - gamma[u]
-        f += q * (f < 0)
-        lam = f if lam is None else lam * f % q
-    direct = int(np.count_nonzero(lam == 0))
     # root-set reduction: lambda vanishes iff a_f(p) hits a root of g_(p mod q)
     root_u, root_w = root_cells(params, pp)
     root_mask = np.zeros(q * q, dtype=bool)
     root_mask[root_u * q + root_w] = True
-    rootset = int(np.count_nonzero(root_mask[u * q + a]))
-    report = delta_F_generic(params, pp)
-    pi_x = len(primes)
+    gammas = gamma_table(params, q, np.arange(q, dtype=np.int64)).T
+    residues = _scan_residues(params.source_weight, pp, x, cache_dir)
+    direct = rootset = pi_x = 0
+    for p, u in _prime_blocks(pp, x):
+        a = residues[p].astype(np.int64)
+        # direct: product over i of (a + p^(k-i) + p^(k-n-1+i)) = (a - gamma_i(u));
+        # a and gamma_i(u) are residues in [0, q), so one conditional + q
+        # reduces each difference
+        lam = None
+        for gamma in gammas:
+            f = a - gamma[u]
+            f += q * (f < 0)
+            lam = f if lam is None else lam * f % q
+        direct += int(np.count_nonzero(lam == 0))
+        rootset += int(np.count_nonzero(root_mask[u * q + a]))
+        pi_x += len(p)
+    report = delta_F_from_roots(params, pp, root_u, root_w)
     delta = float(report.delta_exact)
     sig = math.sqrt(delta * (1.0 - delta) * pi_x) if 0 < delta < 1 else 0.0
     dev = abs(direct - delta * pi_x) / sig if sig > 0 else 0.0

@@ -16,13 +16,16 @@ SEGMENT_SIZE = 1 << 20
 MAX_HI = 10 ** 9
 
 
-def iter_prime_segments(lo: int, hi: int, segment: int = SEGMENT_SIZE) -> Iterator[np.ndarray]:
-    """Yield primes in [lo, hi] as one int64 array per segment, in order."""
+def iter_prime_segments(lo: int, hi: int, segment: int | None = None) -> Iterator[np.ndarray]:
+    """Yield primes in [lo, hi] as one int64 array per segment of `segment`
+    (default SEGMENT_SIZE) integers, in order."""
     if hi > MAX_HI:
         raise CapacityError(f"sieve range end {hi} exceeds {MAX_HI}")
     if lo > hi:
         raise ValueError(f"empty range [{lo}, {hi}]")
     lo = max(lo, 2)
+    if segment is None:
+        segment = SEGMENT_SIZE
     root = math.isqrt(hi)
     # the odd base primes, sieved here as one segment
     base = next(iter_prime_segments(3, root, segment=root)) if root >= 3 else np.array([], dtype=np.int64)
@@ -51,7 +54,7 @@ def iter_prime_segments(lo: int, hi: int, segment: int = SEGMENT_SIZE) -> Iterat
         start = end + 1
 
 
-def primes_in(lo: int, hi: int, segment: int = SEGMENT_SIZE) -> np.ndarray:
+def primes_in(lo: int, hi: int, segment: int | None = None) -> np.ndarray:
     """All primes in [lo, hi], increasing, memory proportional to segment size."""
     parts = list(iter_prime_segments(lo, hi, segment))
     if len(parts) == 1:

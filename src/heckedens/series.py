@@ -421,16 +421,20 @@ def _cache_write(path: str, weight: int, pp: PrimePower, coeffs: np.ndarray):
         raise
 
 
-def _cached_eigenform(cache_dir: str, weight: int, X: int, pp: PrimePower) -> SeriesModQ:
-    """The weight-w entry's prefix a(0..X), else a build written back; every
-    weight takes Delta from the weight-12 entry, read or built."""
+def _cached_residues(cache_dir: str, weight: int, X: int, pp: PrimePower) -> np.ndarray:
+    """a(0..X) of the weight-w entry: on a hit the stored residues, read-only
+    and in their stored dtype; on a miss the int64 build, written back.
+    Every weight takes Delta from the weight-12 entry, read or built."""
     path = _cache_path(cache_dir, weight, pp)
     entry = _cache_read(path, weight, pp)
     if entry is not None and len(entry) > X:
-        return SeriesModQ(pp, entry[: X + 1].astype(np.int64))
-    delta = _delta(X, pp) if weight == 12 else _cached_eigenform(cache_dir, 12, X, pp)
-    out = _build_eigenform(delta, weight)
-    _cache_write(path, weight, pp, out.coeffs)
+        return entry[: X + 1]
+    if weight == 12:
+        delta = _delta(X, pp)
+    else:
+        delta = SeriesModQ(pp, _cached_residues(cache_dir, 12, X, pp).astype(np.int64, copy=False))
+    out = _build_eigenform(delta, weight).coeffs
+    _cache_write(path, weight, pp, out)
     return out
 
 
@@ -452,4 +456,5 @@ def eigenform_coeffs(
         raise ValueError("X must be >= 2")
     if modulus is None:
         return _build_eigenform(_delta(X, None), weight)
-    return _cached_eigenform(cache_dir_from_env(cache_dir), weight, X, modulus)
+    residues = _cached_residues(cache_dir_from_env(cache_dir), weight, X, modulus)
+    return SeriesModQ(modulus, residues.astype(np.int64, copy=False))

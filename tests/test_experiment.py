@@ -1,11 +1,15 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from heckedens import experiment, primes, series
 from heckedens.density import LiftParams, delta_uv_generic
 from heckedens.errors import CapacityError
 from heckedens.experiment import (
+    ScanResult,
     _deviation_table,
     grh_error_scale,
     lambda_F_exact,
@@ -172,3 +176,107 @@ def test_scan_guards():
 def test_grh_scale_reported():
     res = scan_pi_f(12, PrimePower(5, 1), 10 ** 4)
     assert res.grh_scale == pytest.approx(grh_error_scale(PrimePower(5, 1), 10 ** 4))
+
+
+def _python_primes(x):
+    sieve = bytearray([1]) * (x + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(x) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, x + 1, i)))
+    return [i for i in range(x + 1) if sieve[i]]
+
+
+@pytest.mark.parametrize(
+    "ell, m, x, segment, block",
+    [
+        (23, 1, 3000, 22, 3),  # ell the last integer of the first segment
+        (23, 1, 3000, 21, 1),  # ell the first of the second, alone in its block
+        (13, 1, 2000, 64, 5),  # ell inside a segment and a block
+        (2, 5, 2000, 50, 2),  # q = 2^5: ell = 2 opens the first block
+        (3, 3, 2000, 7, 4),  # segments of 7 integers, some without primes
+        (101, 1, 100, 30, 3),  # ell > x
+        (7, 2, 2500, None, None),  # one segment, one block
+    ],
+)
+def test_blocked_scans_match_a_per_prime_oracle(monkeypatch, ell, m, x, segment, block):
+    pp = PrimePower(ell, m)
+    q = pp.q
+    ps = [p for p in _python_primes(x) if p != ell]
+    if segment is not None:
+        monkeypatch.setattr(primes, "SEGMENT_SIZE", segment)
+        monkeypatch.setattr(experiment, "_BLOCK_PRIMES", block)
+        assert len(list(primes.iter_prime_segments(2, x))) == -(-(x - 1) // segment)
+    a = eigenform_coeffs(12, x, pp).coeffs.tolist()
+    table = [[0] * q for _ in range(q)]
+    for p in ps:
+        table[p % q][a[p]] += 1
+    res = scan_pi_f(12, pp, x)
+    assert res.pi_x == len(ps) and res.counts.tolist() == table
+    for params in (LiftParams(10, 2), LiftParams(12, 4)):
+        a = eigenform_coeffs(params.source_weight, x, pp).coeffs.tolist()
+        manual = sum(lambda_F_mod(a[p], p, params, pp) == 0 for p in ps)
+        res = scan_pi_F(params, pp, x)
+        assert res.pi_x == len(ps) and res.counts == res.rootset_count == manual, params
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("a warm scan must not build coefficients")
+
+
+@pytest.mark.parametrize("ell, m", [(11, 1), (7, 3)])  # uint8 and uint16 residues
+def test_warm_hit_scan_matches_cold_miss_scan(tmp_path, monkeypatch, ell, m):
+    pp = PrimePower(ell, m)
+    x = 20000
+    for scan, arg in ((scan_pi_f, 12), (scan_pi_F, LiftParams(10, 2))):
+        cdir = str(tmp_path / scan.__name__)
+        cold = scan(arg, pp, x, cache_dir=cdir)
+        small = scan(arg, pp, x // 2, cache_dir=str(tmp_path / f"{scan.__name__}_small"))
+        with monkeypatch.context() as patch:
+            patch.setattr(series, "_delta", _fail)
+            patch.setattr(series, "series_mul", _fail)
+            warm = scan(arg, pp, x, cache_dir=cdir)
+            prefix = scan(arg, pp, x // 2, cache_dir=cdir)
+        for want, got in ((cold, warm), (small, prefix)):
+            for field in dataclasses.fields(ScanResult):
+                w, g = getattr(want, field.name), getattr(got, field.name)
+                if isinstance(w, np.ndarray):
+                    assert w.dtype == g.dtype and np.array_equal(w, g), field.name
+                else:
+                    assert type(w) is type(g) and w == g, field.name
+
+
+def test_table_scan_refuses_tables_over_the_byte_budget(tmp_path, monkeypatch):
+    pp = PrimePower(101, 1)
+    cdir = str(tmp_path)
+    want = scan_pi_f(12, pp, 10 ** 4, cache_dir=cdir)  # fills the cache
+    default = series.DENSE_MAX_BYTES
+    need = experiment._TABLE_CELL_BYTES * 101 * 101
+    monkeypatch.setattr(series, "DENSE_MAX_BYTES", need)
+    assert np.array_equal(scan_pi_f(12, pp, 10 ** 4, cache_dir=cdir).counts, want.counts)
+    # one byte less is refused before the sieve and the cache read
+    monkeypatch.setattr(series, "DENSE_MAX_BYTES", need - 1)
+    monkeypatch.setattr(experiment, "iter_prime_segments", _fail)
+    monkeypatch.setattr(series, "_cached_residues", _fail)
+    with pytest.raises(CapacityError, match="q x q tables"):
+        scan_pi_f(12, pp, 10 ** 4, cache_dir=cdir)
+    # the default budget refuses the largest moduli TABLE_MAX_Q admits
+    monkeypatch.setattr(series, "DENSE_MAX_BYTES", default)
+    with pytest.raises(CapacityError, match="q x q tables"):
+        scan_pi_f(12, PrimePower(9973, 1), 10 ** 4, cache_dir=cdir)
+
+
+@pytest.mark.parametrize("scan, arg, ell", [(scan_pi_F, LiftParams(10, 2), 23), (scan_pi_f, 12, 11)])
+def test_warm_scan_peak_stays_below_an_int64_prefix(tmp_path, scan, arg, ell):
+    # a warm scan reads the stored residues in blocks: its traced peak stays
+    # below the 8 (X + 1) bytes of an int64 copy of a(0..X)
+    X = 2 * 10 ** 5
+    pp = PrimePower(ell, 1)
+    scan(arg, pp, X, cache_dir=str(tmp_path))
+    tracemalloc.start()
+    try:
+        scan(arg, pp, X, cache_dir=str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (X + 1)

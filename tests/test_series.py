@@ -592,6 +592,23 @@ def test_delta_shared_across_weights(tmp_path, monkeypatch, weight):
     assert np.array_equal(reused.coeffs, cold.coeffs)
 
 
+@pytest.mark.parametrize("ell, m, stored", [(23, 1, np.uint8), (7, 3, np.uint16)])
+def test_cache_hit_residues_stay_as_stored(tmp_path, ell, m, stored):
+    pp = PrimePower(ell, m)
+    cdir = str(tmp_path)
+    miss = series._cached_residues(cdir, 12, 300, pp)
+    assert miss.dtype == np.int64 and miss.flags.writeable
+    hit = series._cached_residues(cdir, 12, 300, pp)
+    assert hit.dtype == stored and not hit.flags.writeable and np.array_equal(hit, miss)
+    with pytest.raises(ValueError):
+        hit[1] = 0
+    # the public API widens its own writeable copy; the cache is untouched
+    out = eigenform_coeffs(12, 300, pp, cache_dir=cdir).coeffs
+    assert out.dtype == np.int64 and out.flags.writeable and np.array_equal(out, miss)
+    out[1] += 1
+    assert np.array_equal(series._cached_residues(cdir, 12, 300, pp), miss)
+
+
 def test_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("HECKE_CACHE_DIR", str(tmp_path / "envcache"))
     eigenform_coeffs(16, 300, PrimePower(5, 1))
