@@ -3,14 +3,17 @@ over real eigenform coefficients, count congruence classes of primes, and
 compare against the exact generic densities with binomial error envelopes.
 
 Each scan reads a(0..x) from the eigenform cache as stored (uint8 or uint16
-residues, never widened as a whole) and walks the primes p <= x, p != ell,
-one sieve segment at a time, in blocks of at most _BLOCK_PRIMES.  A block
+residues, never widened as a whole) and the primes p <= x from the cache's
+prime table (uint32, sieved only on a miss), and walks the primes p != ell
+in blocks of at most _BLOCK_PRIMES.  A block widens its primes to int64,
 forms u = p mod q, gathers a(p) and the flat cell index u * q + a(p):
 `scan_pi_f` adds its cells into the (u, v) table, `scan_pi_F` reads the
 root-set mask of g_u there and also multiplies the factors a - gamma_i(u)
 of lambda_F, each brought into [0, q) by one conditional + q, since a and
-gamma_i(u) are residues.  No array of a scan is pi(x) long, and a table
-scan's q x q tables are held to DENSE_MAX_BYTES."""
+gamma_i(u) are residues.  The stored arrays are read whole: x + 1 or
+2 (x + 1) bytes of residues and 4 pi(x) bytes of primes.  Every int64
+temporary is block-sized, and a table scan's q x q tables are held to
+DENSE_MAX_BYTES."""
 
 from __future__ import annotations
 
@@ -26,7 +29,6 @@ from .errors import CapacityError
 from .matcount import pow_mod_array, trace_det_counts_for_det
 from .modring import PrimePower
 from . import series
-from .primes import iter_prime_segments
 # perfbench/selftest.py patches experiment.eigenform_coeffs; the scans
 # themselves read series._cached_residues
 from .series import eigenform_coeffs  # noqa: F401
@@ -98,25 +100,26 @@ def lambda_F_mod(a_p: int, p: int, params: LiftParams, pp: PrimePower) -> int:
     return out
 
 
-def _prime_blocks(pp: PrimePower, x: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(p, p mod q) for the primes p <= x other than ell, in blocks of at
-    most _BLOCK_PRIMES, one sieve segment at a time; ell is dropped from the
-    block holding it."""
+def _prime_blocks(pp: PrimePower, table: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(p, p mod q) as int64 for the primes of table other than ell, in
+    blocks of at most _BLOCK_PRIMES; ell is dropped from the block holding
+    it."""
     q = pp.q
-    for seg in iter_prime_segments(2, x):
-        for i in range(0, len(seg), _BLOCK_PRIMES):
-            p = seg[i : i + _BLOCK_PRIMES]
-            if p[0] <= pp.ell <= p[-1]:
-                p = p[p != pp.ell]
-            # floor division by a scalar is about twice as fast as %
-            yield p, p - p // q * q
+    for i in range(0, len(table), _BLOCK_PRIMES):
+        p = table[i : i + _BLOCK_PRIMES].astype(np.int64)
+        if p[0] <= pp.ell <= p[-1]:
+            p = p[p != pp.ell]
+        # floor division by a scalar is about twice as fast as %
+        yield p, p - p // q * q
 
 
-def _scan_residues(weight: int, pp: PrimePower, x: int, cache_dir: str | None) -> np.ndarray:
-    """a(0..x) as the cache stores them, after the argument checks."""
+def _scan_inputs(weight: int, pp: PrimePower, x: int, cache_dir: str | None) -> tuple[np.ndarray, np.ndarray]:
+    """a(0..x) as the cache stores them and the primes <= x from the cache's
+    prime table, after the argument checks."""
     if x < 100:
         raise ValueError("x must be >= 100")
-    return series._cached_residues(series.cache_dir_from_env(cache_dir), weight, x, pp)
+    cache_dir = series.cache_dir_from_env(cache_dir)
+    return series._cached_residues(cache_dir, weight, x, pp), series._cached_primes(cache_dir, x)
 
 
 def _expected_table(weight: int, pp: PrimePower) -> tuple[np.ndarray, int]:
@@ -160,10 +163,10 @@ def scan_pi_f(
             f"table scan mod {q} needs {nbytes / 2 ** 30:.1f} GiB of q x q tables; "
             f"the limit is {series.DENSE_MAX_BYTES / 2 ** 30:.1f} GiB"
         )
-    residues = _scan_residues(weight, pp, x, cache_dir)
+    residues, table = _scan_inputs(weight, pp, x, cache_dir)
     counts = np.zeros(q * q, dtype=np.int64)
     pi_x = 0
-    for p, u in _prime_blocks(pp, x):
+    for p, u in _prime_blocks(pp, table):
         np.add.at(counts, u * q + residues[p], 1)
         pi_x += len(p)
     counts = counts.reshape(q, q)
@@ -200,9 +203,9 @@ def scan_pi_F(
     root_mask = np.zeros(q * q, dtype=bool)
     root_mask[root_u * q + root_w] = True
     gammas = gamma_table(params, q, np.arange(q, dtype=np.int64)).T
-    residues = _scan_residues(params.source_weight, pp, x, cache_dir)
+    residues, table = _scan_inputs(params.source_weight, pp, x, cache_dir)
     direct = rootset = pi_x = 0
-    for p, u in _prime_blocks(pp, x):
+    for p, u in _prime_blocks(pp, table):
         a = residues[p].astype(np.int64)
         # direct: product over i of (a + p^(k-i) + p^(k-n-1+i)) = (a - gamma_i(u));
         # a and gamma_i(u) are residues in [0, q), so one conditional + q

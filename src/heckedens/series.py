@@ -5,7 +5,8 @@ dense series on float64 FFTs of signed limbs, whose width a proven rounding
 bound sets and a random evaluation mod 2^61 - 1 checks.  Exact mode keeps
 Python big integers for tiny ranges (X <= 10^4) and only multiplies naively.
 Modular eigenforms are cached on disk in a checksummed binary file per
-(weight, ell, m).
+(weight, ell, m), and the primes scans walk in one table per cache
+directory, under the same header, checksum and writer.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import random
 import struct
 import tempfile
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,7 +26,8 @@ import numpy as np
 
 from . import kernels
 from .errors import CapacityError
-from .modring import PrimePower
+from .modring import PrimePower, is_prime
+from .primes import primes_in
 
 SUPPORTED_WEIGHTS = (12, 16, 18, 20, 22, 26)
 
@@ -349,15 +352,47 @@ def _build_eigenform(delta: SeriesModQ, weight: int) -> SeriesModQ:
 
 # ---------------------------------------------------------------------------
 # disk cache: one file per (weight, ell, m) holding a(0..X) for the largest X
-# built so far, a _CACHE_HEADER record (magic, format, algorithm version,
-# weight, ell, m, X, dtype, CRC-32 of the residue bytes) and then the
-# residues in the smallest unsigned dtype that holds q - 1
+# built so far, and one prime table per directory holding the primes up to
+# X', the least prime >= the largest x scanned so far.  Every file is a
+# _CACHE_HEADER record (magic, format, algorithm version, weight, ell, m, X,
+# dtype, CRC-32 of the payload) and then the payload: the residues in the
+# smallest unsigned dtype that holds q - 1, or the primes as uint32 under the
+# key (0, 0, 0), which no eigenform has.  Both kinds share one reader and one
+# writer, and each is served by prefix.
 
 _CACHE_MAGIC = b"HECKEDNS"
 _CACHE_FORMAT = 1
 # bumped whenever a change to the build code could change a stored residue
 CACHE_ALGO_VERSION = 1
 _CACHE_HEADER = struct.Struct("<8sIIIQIQ4sI")
+_PRIME_TABLE_FILE = "primes.bin"
+
+
+class _Kind(NamedTuple):
+    """What an entry holds: its header key (weight, ell, m), the dtype of its
+    payload, and the check its values must pass against the header's X."""
+
+    key: tuple[int, int, int]
+    dtype: np.dtype
+    valid: Callable[[int, np.ndarray], bool]
+
+
+def _residue_kind(weight: int, pp: PrimePower) -> _Kind:
+    """a(0..X) of the weight-w eigenform mod q: X + 1 residues, each below q."""
+    return _Kind(
+        (weight, pp.ell, pp.m), np.min_scalar_type(pp.q - 1), lambda X, a: len(a) == X + 1 and a.max() < pp.q
+    )
+
+
+def _prime_table_valid(X: int, p: np.ndarray) -> bool:
+    """Primes from 2, strictly increasing and ending at X: so the prefix
+    found by bisection for x holds exactly the gather indices <= x, and as
+    X' is the last prime, a corrupted X' is a miss, never a table short of
+    the primes up to it."""
+    return len(p) > 0 and p[0] == 2 and int(p[-1]) == X and bool(np.all(p[1:] > p[:-1]))
+
+
+_PRIME_TABLE = _Kind((0, 0, 0), np.dtype("<u4"), _prime_table_valid)
 
 
 def cache_dir_from_env(explicit: str | None = None) -> str:
@@ -370,10 +405,10 @@ def _cache_path(cache_dir: str, weight: int, pp: PrimePower) -> str:
     return os.path.join(cache_dir, f"eigenform_w{weight}_l{pp.ell}_m{pp.m}.bin")
 
 
-def _cache_read(path: str, weight: int, pp: PrimePower) -> np.ndarray | None:
-    """The stored residues a(0..X), read-only, or None (a miss) unless the
-    magic, both versions, the key, the dtype, the length and the checksum
-    all match and every residue is below q."""
+def _cache_read(path: str, kind: _Kind) -> tuple[int, np.ndarray] | None:
+    """(X, the stored values, read-only), or None (a miss) unless the magic,
+    both versions, the key, the dtype and the checksum all match, the
+    payload is a whole number of values, and they pass the kind's check."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -382,31 +417,28 @@ def _cache_read(path: str, weight: int, pp: PrimePower) -> np.ndarray | None:
     if len(data) < _CACHE_HEADER.size:
         return None
     magic, fmt, algo, w, ell, m, X, dtype_str, crc = _CACHE_HEADER.unpack_from(data)
-    dtype = np.min_scalar_type(pp.q - 1)
     payload = memoryview(data)[_CACHE_HEADER.size :]
     if (
-        (magic, fmt, algo, w, ell, m) != (_CACHE_MAGIC, _CACHE_FORMAT, CACHE_ALGO_VERSION, weight, pp.ell, pp.m)
-        or dtype_str.rstrip(b"\0") != dtype.str.encode()
-        or len(payload) != (X + 1) * dtype.itemsize
+        (magic, fmt, algo, (w, ell, m)) != (_CACHE_MAGIC, _CACHE_FORMAT, CACHE_ALGO_VERSION, kind.key)
+        or dtype_str.rstrip(b"\0") != kind.dtype.str.encode()
+        or len(payload) % kind.dtype.itemsize
         or zlib.crc32(payload) != crc
     ):
         return None
-    residues = np.frombuffer(payload, dtype=dtype)
-    return residues if residues.max() < pp.q else None
+    values = np.frombuffer(payload, dtype=kind.dtype)
+    return (X, values) if kind.valid(X, values) else None
 
 
-def _cache_write(path: str, weight: int, pp: PrimePower, coeffs: np.ndarray):
-    """Store a(0..X) through a temporary file and an atomic rename, unless a
-    valid entry with at least as many residues is there (another process
-    may have written one since this one missed)."""
-    current = _cache_read(path, weight, pp)
-    if current is not None and len(current) >= len(coeffs):
+def _cache_write(path: str, kind: _Kind, X: int, values: np.ndarray):
+    """Store values under X through a temporary file and an atomic rename,
+    unless a valid entry of at least that X is there (another process may
+    have written one since this one missed)."""
+    current = _cache_read(path, kind)
+    if current is not None and current[0] >= X:
         return
-    dtype = np.min_scalar_type(pp.q - 1)
-    payload = coeffs.astype(dtype)
+    payload = values.astype(kind.dtype, copy=False)
     header = _CACHE_HEADER.pack(
-        _CACHE_MAGIC, _CACHE_FORMAT, CACHE_ALGO_VERSION, weight, pp.ell, pp.m,
-        len(coeffs) - 1, dtype.str.encode(), zlib.crc32(payload),
+        _CACHE_MAGIC, _CACHE_FORMAT, CACHE_ALGO_VERSION, *kind.key, X, kind.dtype.str.encode(), zlib.crc32(payload)
     )
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
@@ -426,16 +458,35 @@ def _cached_residues(cache_dir: str, weight: int, X: int, pp: PrimePower) -> np.
     and in their stored dtype; on a miss the int64 build, written back.
     Every weight takes Delta from the weight-12 entry, read or built."""
     path = _cache_path(cache_dir, weight, pp)
-    entry = _cache_read(path, weight, pp)
-    if entry is not None and len(entry) > X:
-        return entry[: X + 1]
+    kind = _residue_kind(weight, pp)
+    entry = _cache_read(path, kind)
+    if entry is not None and entry[0] >= X:
+        return entry[1][: X + 1]
     if weight == 12:
         delta = _delta(X, pp)
     else:
         delta = SeriesModQ(pp, _cached_residues(cache_dir, 12, X, pp).astype(np.int64, copy=False))
     out = _build_eigenform(delta, weight).coeffs
-    _cache_write(path, weight, pp, out)
+    _cache_write(path, kind, X, out)
     return out
+
+
+def _cached_primes(cache_dir: str, x: int) -> np.ndarray:
+    """The primes <= x as uint32: on a hit a read-only prefix of the stored
+    table, with no copy; on a miss sieved up to X', the least prime >= x,
+    and written back."""
+    path = os.path.join(cache_dir, _PRIME_TABLE_FILE)
+    entry = _cache_read(path, _PRIME_TABLE)
+    if entry is not None and entry[0] >= x:
+        table = entry[1]
+    else:
+        top = x
+        while not is_prime(top):
+            top += 1
+        table = primes_in(2, top).astype(_PRIME_TABLE.dtype)
+        _cache_write(path, _PRIME_TABLE, top, table)
+    # x as uint32: against a Python int numpy bisects an int64 copy of the table
+    return table[: np.searchsorted(table, table.dtype.type(x), side="right")]
 
 
 def eigenform_coeffs(

@@ -2,12 +2,14 @@
 
 Each check returns (ok, detail).  The quick level runs in seconds on small
 moduli; full pushes the same invariants to the desk-scale grid and adds one
-statistical scan plus the weight-12 congruence regression at ell = 691.
+statistical scan, the weight-12 congruence regression at ell = 691 and a
+check of the prime table those scans leave in the cache directory.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from fractions import Fraction
 
@@ -223,6 +225,17 @@ def check_exceptional_flag(cache_dir=None) -> tuple[bool, str]:
     return True, f"691 scan flagged exceptional at {res.deviation_sigmas:.0f} sigma"
 
 
+def check_prime_table(cache_dir=None) -> tuple[bool, str]:
+    path = os.path.join(series.cache_dir_from_env(cache_dir), series._PRIME_TABLE_FILE)
+    entry = series._cache_read(path, series._PRIME_TABLE)
+    if entry is None:
+        return False, f"no valid prime table at {path}"
+    top, table = entry
+    if not np.array_equal(table, primes_in(2, top)):
+        return False, f"cached primes up to {top} differ from the sieve"
+    return True, f"cached prime table equals the sieve up to X' = {top}"
+
+
 def run(level: str = "quick", cache_dir: str | None = None):
     """Run the suite; returns a list of (name, ok, detail), each detail
     ending in the check's wall time."""
@@ -249,6 +262,7 @@ def run(level: str = "quick", cache_dir: str | None = None):
             ("Ramanujan 691 congruence", lambda: check_ramanujan_691(10 ** 5, cache_dir)),
             ("statistical scan", lambda: check_statistical_scan(cache_dir)),
             ("exceptional flag", lambda: check_exceptional_flag(cache_dir)),
+            ("prime table", lambda: check_prime_table(cache_dir)),
         ]
     results = []
     for name, fn in checks:

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import numpy as np
+
+from heckedens import series, verify
 from heckedens.cli import main
 from heckedens.density import LiftParams, delta_F_generic
 from heckedens.modring import PrimePower
@@ -169,3 +172,16 @@ def test_verify_failure_exit_three(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 3
     assert "FAIL stub: boom" in out
+
+
+def test_verify_prime_table_check(tmp_path):
+    cdir = str(tmp_path)
+    ok, detail = verify.check_prime_table(cdir)
+    assert not ok and "no valid prime table" in detail
+    verify.check_pi_F_identity(cdir)  # a scan to 10^4 leaves the table
+    assert verify.check_prime_table(cdir) == (True, "cached prime table equals the sieve up to X' = 10007")
+    # a table that passes every read check but lacks a prime is caught
+    table = series._cached_primes(cdir, 10007)
+    series._cache_write(str(tmp_path / "other" / "primes.bin"), series._PRIME_TABLE, 10007, np.delete(table, 100))
+    ok, detail = verify.check_prime_table(str(tmp_path / "other"))
+    assert not ok and "differ from the sieve" in detail

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import os
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -190,16 +192,17 @@ def _python_primes(x):
 @pytest.mark.parametrize(
     "ell, m, x, segment, block",
     [
-        (23, 1, 3000, 22, 3),  # ell the last integer of the first segment
-        (23, 1, 3000, 21, 1),  # ell the first of the second, alone in its block
-        (13, 1, 2000, 64, 5),  # ell inside a segment and a block
+        # the segments are the miss's sieve, the blocks the scans' walk
+        (23, 1, 3000, 22, 3),  # ell ends the first segment and the third block
+        (23, 1, 3000, 21, 1),  # ell opens the second segment, alone in its block
+        (13, 1, 2000, 64, 5),  # ell inside a segment, opening the second block
         (2, 5, 2000, 50, 2),  # q = 2^5: ell = 2 opens the first block
         (3, 3, 2000, 7, 4),  # segments of 7 integers, some without primes
         (101, 1, 100, 30, 3),  # ell > x
         (7, 2, 2500, None, None),  # one segment, one block
     ],
 )
-def test_blocked_scans_match_a_per_prime_oracle(monkeypatch, ell, m, x, segment, block):
+def test_blocked_scans_match_a_per_prime_oracle(tmp_path, monkeypatch, ell, m, x, segment, block):
     pp = PrimePower(ell, m)
     q = pp.q
     ps = [p for p in _python_primes(x) if p != ell]
@@ -211,17 +214,35 @@ def test_blocked_scans_match_a_per_prime_oracle(monkeypatch, ell, m, x, segment,
     table = [[0] * q for _ in range(q)]
     for p in ps:
         table[p % q][a[p]] += 1
-    res = scan_pi_f(12, pp, x)
-    assert res.pi_x == len(ps) and res.counts.tolist() == table
+    # a prime-table miss (sieved in the patched segments) against a hit
+    cdir = str(tmp_path)
+    f_miss, f_hit = scan_pi_f(12, pp, x, cache_dir=cdir), scan_pi_f(12, pp, x, cache_dir=cdir)
+    assert f_miss.pi_x == len(ps) and f_miss.counts.tolist() == table
+    _assert_same(f_miss, f_hit)
     for params in (LiftParams(10, 2), LiftParams(12, 4)):
         a = eigenform_coeffs(params.source_weight, x, pp).coeffs.tolist()
         manual = sum(lambda_F_mod(a[p], p, params, pp) == 0 for p in ps)
-        res = scan_pi_F(params, pp, x)
-        assert res.pi_x == len(ps) and res.counts == res.rootset_count == manual, params
+        os.remove(tmp_path / "primes.bin")
+        miss = scan_pi_F(params, pp, x, cache_dir=cdir)
+        assert miss.pi_x == len(ps) and miss.counts == miss.rootset_count == manual, params
+        _assert_same(miss, scan_pi_F(params, pp, x, cache_dir=cdir))
+    # and a hit on a table sieved past x
+    series._cached_primes(cdir, 2 * x)
+    _assert_same(f_miss, scan_pi_f(12, pp, x, cache_dir=cdir))
+
+
+def _assert_same(want, got):
+    """Every ScanResult field equal, arrays in dtype and value."""
+    for field in dataclasses.fields(ScanResult):
+        w, g = getattr(want, field.name), getattr(got, field.name)
+        if isinstance(w, np.ndarray):
+            assert w.dtype == g.dtype and np.array_equal(w, g), field.name
+        else:
+            assert type(w) is type(g) and w == g, field.name
 
 
 def _fail(*args, **kwargs):
-    raise AssertionError("a warm scan must not build coefficients")
+    raise AssertionError("a warm scan must not build coefficients or sieve primes")
 
 
 @pytest.mark.parametrize("ell, m", [(11, 1), (7, 3)])  # uint8 and uint16 residues
@@ -232,18 +253,91 @@ def test_warm_hit_scan_matches_cold_miss_scan(tmp_path, monkeypatch, ell, m):
         cdir = str(tmp_path / scan.__name__)
         cold = scan(arg, pp, x, cache_dir=cdir)
         small = scan(arg, pp, x // 2, cache_dir=str(tmp_path / f"{scan.__name__}_small"))
+        # a warm hit builds no coefficients and sieves no primes
         with monkeypatch.context() as patch:
             patch.setattr(series, "_delta", _fail)
             patch.setattr(series, "series_mul", _fail)
+            patch.setattr(primes, "iter_prime_segments", _fail)
             warm = scan(arg, pp, x, cache_dir=cdir)
             prefix = scan(arg, pp, x // 2, cache_dir=cdir)
-        for want, got in ((cold, warm), (small, prefix)):
-            for field in dataclasses.fields(ScanResult):
-                w, g = getattr(want, field.name), getattr(got, field.name)
-                if isinstance(w, np.ndarray):
-                    assert w.dtype == g.dtype and np.array_equal(w, g), field.name
-                else:
-                    assert type(w) is type(g) and w == g, field.name
+        # stored residues with a prime-table miss
+        os.remove(os.path.join(cdir, "primes.bin"))
+        with monkeypatch.context() as patch:
+            patch.setattr(series, "_delta", _fail)
+            patch.setattr(series, "series_mul", _fail)
+            table_miss = scan(arg, pp, x, cache_dir=cdir)
+        for want, got in ((cold, warm), (small, prefix), (cold, table_miss)):
+            _assert_same(want, got)
+
+
+def _reseal(fields, payload):
+    fields[8] = zlib.crc32(payload)
+
+
+# corruptions of a prime table ending at X' = 3001; where only the check
+# under test would catch one, the checksum is resealed
+
+
+def _table_bit_flipped(fields, payload):
+    payload[9] ^= 1
+
+
+def _table_cut_mid_value(fields, payload):
+    del payload[-1]
+    _reseal(fields, payload)
+
+
+def _table_truncated(fields, payload):
+    del payload[-4:]
+    _reseal(fields, payload)
+
+
+def _table_foreign_key(fields, payload):
+    fields[3:6] = [12, 11, 1]  # the weight-12 eigenform's key mod 11
+
+
+def _table_wrong_dtype(fields, payload):
+    fields[7] = b"<u2\0"
+
+
+def _table_unsorted(fields, payload):
+    p = np.frombuffer(bytes(payload), "<u4").copy()
+    p[[5, 6]] = p[[6, 5]]
+    payload[:] = p.tobytes()
+    _reseal(fields, payload)
+
+
+def _table_not_from_two(fields, payload):
+    del payload[:4]
+    _reseal(fields, payload)
+
+
+def _table_past_bound(fields, payload):
+    fields[6] -= 2  # X' = 2999, below the last prime
+
+
+def _table_short_of_bound(fields, payload):
+    fields[6] += 16  # X' = 3017, and the prime 3011 is missing
+
+
+@pytest.mark.parametrize("corrupt", [
+    _table_bit_flipped, _table_cut_mid_value, _table_truncated, _table_foreign_key, _table_wrong_dtype,
+    _table_unsorted, _table_not_from_two, _table_past_bound, _table_short_of_bound,
+])
+def test_refused_prime_table_is_rebuilt_and_the_scan_stays_exact(tmp_path, corrupt):
+    pp = PrimePower(11, 1)
+    x = 3000
+    truth = scan_pi_f(12, pp, x, cache_dir=str(tmp_path / "fresh"))
+    path = tmp_path / "primes.bin"
+    scan_pi_f(12, pp, x, cache_dir=str(tmp_path))
+    good = path.read_bytes()
+    fields = list(series._CACHE_HEADER.unpack_from(good))
+    payload = bytearray(good[series._CACHE_HEADER.size :])
+    corrupt(fields, payload)
+    path.write_bytes(series._CACHE_HEADER.pack(*fields) + bytes(payload))
+    assert series._cache_read(str(path), series._PRIME_TABLE) is None
+    _assert_same(truth, scan_pi_f(12, pp, x, cache_dir=str(tmp_path)))
+    assert path.read_bytes() == good
 
 
 def test_table_scan_refuses_tables_over_the_byte_budget(tmp_path, monkeypatch):
@@ -254,9 +348,9 @@ def test_table_scan_refuses_tables_over_the_byte_budget(tmp_path, monkeypatch):
     need = experiment._TABLE_CELL_BYTES * 101 * 101
     monkeypatch.setattr(series, "DENSE_MAX_BYTES", need)
     assert np.array_equal(scan_pi_f(12, pp, 10 ** 4, cache_dir=cdir).counts, want.counts)
-    # one byte less is refused before the sieve and the cache read
+    # one byte less is refused before the prime table and the cache read
     monkeypatch.setattr(series, "DENSE_MAX_BYTES", need - 1)
-    monkeypatch.setattr(experiment, "iter_prime_segments", _fail)
+    monkeypatch.setattr(series, "_cached_primes", _fail)
     monkeypatch.setattr(series, "_cached_residues", _fail)
     with pytest.raises(CapacityError, match="q x q tables"):
         scan_pi_f(12, pp, 10 ** 4, cache_dir=cdir)

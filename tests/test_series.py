@@ -4,7 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
-from heckedens import series
+from heckedens import primes, series
 from heckedens.errors import CapacityError
 from heckedens.modring import PrimePower
 from heckedens.series import (
@@ -274,7 +274,7 @@ def test_random_evaluation_catches_a_wrong_coefficient(monkeypatch):
     assert np.array_equal(series_mul(a, b).coeffs, series_mul_naive(a, b).coeffs)
     # an error that vanishes mod P escapes the evaluation, here stubbed to 0;
     # the exact bound on |c_s| still catches it
-    from heckedens import series
+    from heckedens import primes, series
 
     monkeypatch.setattr(series, "_value_at", lambda v, bits: 0)
     series_mul(a, b)
@@ -291,7 +291,7 @@ def test_random_evaluation_catches_a_wrong_coefficient(monkeypatch):
 
 def test_plan_at_dense_limit(monkeypatch):
     # the planner sizes the transform buffers before any transform runs
-    from heckedens import series
+    from heckedens import primes, series
 
     def no_transform(*args, **kwargs):
         raise AssertionError("the planner ran a transform")
@@ -494,7 +494,7 @@ def test_corrupt_cache_entry_is_rebuilt(tmp_path, corrupt):
     fields, payload = _entry(path)
     corrupt(fields, payload)
     _store(path, fields, payload)
-    assert series._cache_read(str(path), 12, pp) is None
+    assert series._cache_read(str(path), series._residue_kind(12, pp)) is None
     out = eigenform_coeffs(12, 500, pp, cache_dir=str(tmp_path))
     assert np.array_equal(out.coeffs, truth) and path.read_bytes() == good
 
@@ -512,7 +512,7 @@ def test_every_flipped_header_bit_is_a_miss(tmp_path):
             data = bytearray(good)
             data[byte] ^= 1 << bit
             path.write_bytes(data)
-            assert series._cache_read(str(path), 12, pp) is None, (byte, bit)
+            assert series._cache_read(str(path), series._residue_kind(12, pp)) is None, (byte, bit)
             out = eigenform_coeffs(12, 300, pp, cache_dir=str(tmp_path))
             assert np.array_equal(out.coeffs, truth) and path.read_bytes() == good
 
@@ -524,14 +524,14 @@ def test_truncated_and_bumped_entries_are_misses(tmp_path, monkeypatch):
     good = path.read_bytes()
     for cut in (0, 10, _CACHE_HEADER.size, _CACHE_HEADER.size + 1, len(good) - 2, len(good) - 1):
         path.write_bytes(good[:cut])
-        assert series._cache_read(str(path), 12, pp) is None, cut
+        assert series._cache_read(str(path), series._residue_kind(12, pp)) is None, cut
     # an entry longer than its header says is refused as well
     path.write_bytes(good + b"\0\0")
-    assert series._cache_read(str(path), 12, pp) is None
+    assert series._cache_read(str(path), series._residue_kind(12, pp)) is None
     # a build-code change bumps CACHE_ALGO_VERSION; older entries then miss
     path.write_bytes(good)
     monkeypatch.setattr(series, "CACHE_ALGO_VERSION", CACHE_ALGO_VERSION + 1)
-    assert series._cache_read(str(path), 12, pp) is None
+    assert series._cache_read(str(path), series._residue_kind(12, pp)) is None
     out = eigenform_coeffs(12, 400, pp, cache_dir=str(tmp_path))
     assert np.array_equal(out.coeffs, truth)
     assert _entry(path)[0][2] == CACHE_ALGO_VERSION + 1
@@ -566,7 +566,7 @@ def test_cache_serves_prefix_and_keeps_the_largest(tmp_path, monkeypatch):
     fresh = eigenform_coeffs(26, 1000, pp, cache_dir=str(tmp_path / "b"))
     assert small.coeffs.dtype == np.int64 and np.array_equal(small.coeffs, fresh.coeffs)
     # and a smaller entry never overwrites a larger one
-    series._cache_write(str(path), 26, pp, fresh.coeffs)
+    series._cache_write(str(path), series._residue_kind(26, pp), 1000, fresh.coeffs)
     assert path.read_bytes() == stored
 
 
@@ -607,6 +607,81 @@ def test_cache_hit_residues_stay_as_stored(tmp_path, ell, m, stored):
     assert out.dtype == np.int64 and out.flags.writeable and np.array_equal(out, miss)
     out[1] += 1
     assert np.array_equal(series._cached_residues(cdir, 12, 300, pp), miss)
+
+
+def _python_primes(x):
+    """Primes <= x by a bytearray sieve, independent of heckedens.primes."""
+    sieve = bytearray([1]) * (x + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(x) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, x + 1, i)))
+    return [i for i in range(x + 1) if sieve[i]]
+
+
+def test_prime_table_roundtrip_and_prefix(tmp_path, monkeypatch):
+    cdir = str(tmp_path)
+    path = tmp_path / "primes.bin"
+    miss = series._cached_primes(cdir, 5000)
+    assert miss.tolist() == _python_primes(5000)
+    # the table ends at X' = 5003, the least prime >= 5000, under key (0, 0, 0)
+    fields, payload = _entry(path)
+    assert fields[:8] == [b"HECKEDNS", 1, CACHE_ALGO_VERSION, 0, 0, 0, 5003, b"<u4\0"]
+    assert fields[8] == zlib.crc32(payload) and np.frombuffer(payload, "<u4").tolist() == _python_primes(5003)
+    stored = path.read_bytes()
+    # a hit at X' or below is a read-only prefix of the table and runs no sieve
+    monkeypatch.setattr(primes, "iter_prime_segments", _fail)
+    for x in (5003, 5002, 5000, 4999, 101, 100, 2):
+        hit = series._cached_primes(cdir, x)
+        assert hit.dtype == np.dtype("<u4") and not hit.flags.writeable, x
+        assert hit.tolist() == _python_primes(x), x
+    assert path.read_bytes() == stored
+
+
+def test_prime_table_grows_and_is_never_replaced_by_a_smaller_one(tmp_path, monkeypatch):
+    cdir = str(tmp_path / "cache")
+    path = tmp_path / "cache" / "primes.bin"
+    series._cached_primes(cdir, 3000)
+    assert _entry(path)[0][6] == 3001
+    # x > X' sieves again and replaces the table
+    assert series._cached_primes(cdir, 8000).tolist() == _python_primes(8000)
+    assert _entry(path)[0][6] == 8009
+    stored = path.read_bytes()
+    # a smaller table never replaces a valid larger one
+    series._cache_write(str(path), series._PRIME_TABLE, 3001, np.array(_python_primes(3001), dtype="<u4"))
+    assert path.read_bytes() == stored
+    # nor does one sieved while another process wrote a larger table
+    # between this process's read and its write
+    other = tmp_path / "other"
+    series._cached_primes(str(other), 3000)
+    sieve = series.primes_in
+
+    def racing(lo, hi):
+        out = sieve(lo, hi)
+        series._cache_write(str(other / "primes.bin"), series._PRIME_TABLE, 20011, sieve(2, 20011))
+        return out
+
+    monkeypatch.setattr(series, "primes_in", racing)
+    assert series._cached_primes(str(other), 10000).tolist() == _python_primes(10000)
+    assert _entry(other / "primes.bin")[0][6] == 20011
+    monkeypatch.setattr(series, "primes_in", _fail)
+    assert series._cached_primes(str(other), 20011).tolist() == _python_primes(20011)
+
+
+def test_every_flipped_prime_table_header_bit_is_a_miss(tmp_path):
+    # X' is bound to the table's last prime, so a flipped bit of it is a
+    # miss as well, never a table short of the primes below a larger X'
+    path = tmp_path / "primes.bin"
+    series._cached_primes(str(tmp_path), 1000)
+    good = path.read_bytes()
+    for byte in range(_CACHE_HEADER.size):
+        for bit in (0, 7):
+            data = bytearray(good)
+            data[byte] ^= 1 << bit
+            path.write_bytes(data)
+            assert series._cache_read(str(path), series._PRIME_TABLE) is None, (byte, bit)
+            assert series._cached_primes(str(tmp_path), 1000).tolist() == _python_primes(1000)
+            assert path.read_bytes() == good
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
