@@ -4,16 +4,16 @@ compare against the exact generic densities with binomial error envelopes.
 
 Each scan reads a(0..x) from the eigenform cache as stored (uint8 or uint16
 residues, never widened as a whole) and the primes p <= x from the cache's
-prime table (uint32, sieved only on a miss), and walks the primes p != ell
-in blocks of at most _BLOCK_PRIMES.  A block widens its primes to int64,
-forms u = p mod q, gathers a(p) and the flat cell index u * q + a(p):
-`scan_pi_f` adds its cells into the (u, v) table, `scan_pi_F` reads the
-root-set mask of g_u there and also multiplies the factors a - gamma_i(u)
-of lambda_F, each brought into [0, q) by one conditional + q, since a and
-gamma_i(u) are residues.  The stored arrays are read whole: x + 1 or
-2 (x + 1) bytes of residues and 4 pi(x) bytes of primes.  Every int64
-temporary is block-sized, and a table scan's q x q tables are held to
-DENSE_MAX_BYTES."""
+prime table (uint32; sieved on a miss, or where the table holds more primes
+than x), and walks the primes p != ell in blocks of at most _BLOCK_PRIMES.
+A block widens its primes to int64, forms u = p mod q, gathers a(p) and
+the flat cell index u * q + a(p): `scan_pi_f` adds its cells into the
+(u, v) table, `scan_pi_F` reads the root-set mask of g_u there and also
+multiplies the factors a - gamma_i(u) of lambda_F, each brought into
+[0, q) by one conditional + q, since a and gamma_i(u) are residues.  The
+stored arrays are read whole: 1 or 2 bytes per residue a(0..X) and 4 bytes
+per prime <= X', for the stored X, X' >= x.  Every int64 temporary is
+block-sized, and a table scan's q x q tables are held to DENSE_MAX_BYTES."""
 
 from __future__ import annotations
 
@@ -103,10 +103,10 @@ def lambda_F_mod(a_p: int, p: int, params: LiftParams, pp: PrimePower) -> int:
 def _prime_blocks(pp: PrimePower, table: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(p, p mod q) as int64 for the primes of table other than ell, in
     blocks of at most _BLOCK_PRIMES; ell is dropped from the block holding
-    it."""
+    it.  A uint32 table is widened a block at a time, an int64 one sliced."""
     q = pp.q
     for i in range(0, len(table), _BLOCK_PRIMES):
-        p = table[i : i + _BLOCK_PRIMES].astype(np.int64)
+        p = table[i : i + _BLOCK_PRIMES].astype(np.int64, copy=False)
         if p[0] <= pp.ell <= p[-1]:
             p = p[p != pp.ell]
         # floor division by a scalar is about twice as fast as %

@@ -42,21 +42,14 @@ def sigma_pow_sieve(X, e, q):
 
 
 # ---------------------------------------------------------------------------
-# dense square of a sparse series: out[e_i + e_j] += c_i * c_j, truncated;
-# the outer product is formed a block of rows at a time, about
-# _BLOCK_PRODUCTS products each (the scale of density._BLOCK_CELLS), so its
-# temporaries stay small beside the X + 1 outputs
-
-_BLOCK_PRODUCTS = 1 << 13
+# dense square of a sparse series: out[e_i + e_j] += c_i * c_j, truncated
 
 
 def sparse_square(exps, coefs, X, q):
     out = np.zeros(X + 1, dtype=np.int64)
-    rows = max(1, _BLOCK_PRODUCTS // len(exps))
-    for i in range(0, len(exps), rows):
-        e = (exps[i : i + rows, None] + exps[None, :]).ravel()
-        v = (coefs[i : i + rows, None] * coefs[None, :]).ravel()
-        keep = e <= X
-        np.add.at(out, e[keep], v[keep])
+    e = (exps[:, None] + exps[None, :]).ravel()
+    v = (coefs[:, None] * coefs[None, :]).ravel()
+    keep = e <= X
+    np.add.at(out, e[keep], v[keep])
     out %= q
     return out

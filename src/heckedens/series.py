@@ -472,10 +472,19 @@ def _cached_residues(cache_dir: str, weight: int, X: int, pp: PrimePower) -> np.
 
 
 def _cached_primes(cache_dir: str, x: int) -> np.ndarray:
-    """The primes <= x as uint32: on a hit a read-only prefix of the stored
+    """The primes <= x: on a hit a read-only uint32 prefix of the stored
     table, with no copy; on a miss sieved up to X', the least prime >= x,
-    and written back."""
+    and written back.  A table is read whole, and reading, checksumming and
+    checking a stored prime costs about what sieving one integer does, so
+    a table of more primes than x (its size says so before it is read) is
+    left as it is, and the primes come from the sieve of [2, x] as int64."""
     path = os.path.join(cache_dir, _PRIME_TABLE_FILE)
+    try:
+        stored = (os.path.getsize(path) - _CACHE_HEADER.size) // _PRIME_TABLE.dtype.itemsize
+    except OSError:
+        stored = 0
+    if stored > x:
+        return primes_in(2, x)
     entry = _cache_read(path, _PRIME_TABLE)
     if entry is not None and entry[0] >= x:
         table = entry[1]

@@ -180,15 +180,6 @@ def test_grh_scale_reported():
     assert res.grh_scale == pytest.approx(grh_error_scale(PrimePower(5, 1), 10 ** 4))
 
 
-def _python_primes(x):
-    sieve = bytearray([1]) * (x + 1)
-    sieve[:2] = b"\0\0"
-    for i in range(2, math.isqrt(x) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytes(len(range(i * i, x + 1, i)))
-    return [i for i in range(x + 1) if sieve[i]]
-
-
 @pytest.mark.parametrize(
     "ell, m, x, segment, block",
     [
@@ -202,10 +193,10 @@ def _python_primes(x):
         (7, 2, 2500, None, None),  # one segment, one block
     ],
 )
-def test_blocked_scans_match_a_per_prime_oracle(tmp_path, monkeypatch, ell, m, x, segment, block):
+def test_blocked_scans_match_a_per_prime_oracle(tmp_path, monkeypatch, ell, m, x, segment, block, python_primes):
     pp = PrimePower(ell, m)
     q = pp.q
-    ps = [p for p in _python_primes(x) if p != ell]
+    ps = [p for p in python_primes(x) if p != ell]
     if segment is not None:
         monkeypatch.setattr(primes, "SEGMENT_SIZE", segment)
         monkeypatch.setattr(experiment, "_BLOCK_PRIMES", block)
@@ -266,7 +257,15 @@ def test_warm_hit_scan_matches_cold_miss_scan(tmp_path, monkeypatch, ell, m):
             patch.setattr(series, "_delta", _fail)
             patch.setattr(series, "series_mul", _fail)
             table_miss = scan(arg, pp, x, cache_dir=cdir)
-        for want, got in ((cold, warm), (small, prefix), (cold, table_miss)):
+        # x = 1000 is below the 2262 primes of the table, which is sieved
+        # past, not read or rewritten
+        tiny = scan(arg, pp, 1000, cache_dir=str(tmp_path / f"{scan.__name__}_tiny"))
+        with monkeypatch.context() as patch:
+            patch.setattr(series, "_delta", _fail)
+            patch.setattr(series, "series_mul", _fail)
+            patch.setattr(series, "_cache_write", _fail)
+            sieved = scan(arg, pp, 1000, cache_dir=cdir)
+        for want, got in ((cold, warm), (small, prefix), (cold, table_miss), (tiny, sieved)):
             _assert_same(want, got)
 
 

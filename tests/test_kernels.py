@@ -1,9 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from heckedens import kernels, series
+from heckedens import kernels
 
 
 def _sigma_direct(n, e, q):
@@ -47,32 +45,3 @@ def test_sparse_square():
         got = kernels.sparse_square(exps, coefs, 12, q)
         assert np.array_equal(got, ref)
 
-
-@pytest.mark.parametrize("block", [1, 100, 1000, 1 << 13])
-def test_sparse_square_row_blocks_match_python_ints(monkeypatch, block):
-    # blocks of one row, of several rows with a short last block, and the default
-    monkeypatch.setattr(kernels, "_BLOCK_PRODUCTS", block)
-    for X in (1, 2, 3, 10, 100, 1000):
-        exps, coefs = series.eta_cubed_exponents(X)
-        ref = [0] * (X + 1)
-        for ei, ci in zip(exps.tolist(), coefs.tolist()):
-            for ej, cj in zip(exps.tolist(), coefs.tolist()):
-                if ei + ej <= X:
-                    ref[ei + ej] += ci * cj
-        for q in (2, 691, 3 ** 7, 2 ** 31 - 1):
-            got = kernels.sparse_square(exps, coefs, X, q)
-            assert got.dtype == np.int64 and got.tolist() == [r % q for r in ref], (X, q)
-
-
-def test_sparse_square_temporaries_stay_block_sized():
-    # the whole outer product at X = 10^6 held 64 MB of temporaries against
-    # the 8 MB output
-    X = 10 ** 6
-    exps, coefs = series.eta_cubed_exponents(X)
-    tracemalloc.start()
-    try:
-        kernels.sparse_square(exps, coefs, X, 23)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * (X + 1) + (1 << 20)

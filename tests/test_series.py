@@ -274,7 +274,7 @@ def test_random_evaluation_catches_a_wrong_coefficient(monkeypatch):
     assert np.array_equal(series_mul(a, b).coeffs, series_mul_naive(a, b).coeffs)
     # an error that vanishes mod P escapes the evaluation, here stubbed to 0;
     # the exact bound on |c_s| still catches it
-    from heckedens import primes, series
+    from heckedens import series
 
     monkeypatch.setattr(series, "_value_at", lambda v, bits: 0)
     series_mul(a, b)
@@ -291,7 +291,7 @@ def test_random_evaluation_catches_a_wrong_coefficient(monkeypatch):
 
 def test_plan_at_dense_limit(monkeypatch):
     # the planner sizes the transform buffers before any transform runs
-    from heckedens import primes, series
+    from heckedens import series
 
     def no_transform(*args, **kwargs):
         raise AssertionError("the planner ran a transform")
@@ -609,46 +609,44 @@ def test_cache_hit_residues_stay_as_stored(tmp_path, ell, m, stored):
     assert np.array_equal(series._cached_residues(cdir, 12, 300, pp), miss)
 
 
-def _python_primes(x):
-    """Primes <= x by a bytearray sieve, independent of heckedens.primes."""
-    sieve = bytearray([1]) * (x + 1)
-    sieve[:2] = b"\0\0"
-    for i in range(2, math.isqrt(x) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytes(len(range(i * i, x + 1, i)))
-    return [i for i in range(x + 1) if sieve[i]]
-
-
-def test_prime_table_roundtrip_and_prefix(tmp_path, monkeypatch):
+def test_prime_table_roundtrip_and_prefix(tmp_path, monkeypatch, python_primes):
     cdir = str(tmp_path)
     path = tmp_path / "primes.bin"
     miss = series._cached_primes(cdir, 5000)
-    assert miss.tolist() == _python_primes(5000)
+    assert miss.tolist() == python_primes(5000)
     # the table ends at X' = 5003, the least prime >= 5000, under key (0, 0, 0)
     fields, payload = _entry(path)
     assert fields[:8] == [b"HECKEDNS", 1, CACHE_ALGO_VERSION, 0, 0, 0, 5003, b"<u4\0"]
-    assert fields[8] == zlib.crc32(payload) and np.frombuffer(payload, "<u4").tolist() == _python_primes(5003)
+    assert fields[8] == zlib.crc32(payload) and np.frombuffer(payload, "<u4").tolist() == python_primes(5003)
     stored = path.read_bytes()
-    # a hit at X' or below is a read-only prefix of the table and runs no sieve
-    monkeypatch.setattr(primes, "iter_prime_segments", _fail)
-    for x in (5003, 5002, 5000, 4999, 101, 100, 2):
-        hit = series._cached_primes(cdir, x)
-        assert hit.dtype == np.dtype("<u4") and not hit.flags.writeable, x
-        assert hit.tolist() == _python_primes(x), x
+    # a hit at X' or below, down to x = 670, the table's prime count, is a
+    # read-only prefix of the table and runs no sieve
+    with monkeypatch.context() as patch:
+        patch.setattr(primes, "iter_prime_segments", _fail)
+        for x in (5003, 5002, 5000, 4999, 670):
+            hit = series._cached_primes(cdir, x)
+            assert hit.dtype == np.dtype("<u4") and not hit.flags.writeable, x
+            assert hit.tolist() == python_primes(x), x
+    # below it, [2, x] is sieved and the table is neither read nor written
+    monkeypatch.setattr(series, "_cache_read", _fail)
+    monkeypatch.setattr(series, "_cache_write", _fail)
+    for x in (669, 101, 100, 2):
+        small = series._cached_primes(cdir, x)
+        assert small.dtype == np.int64 and small.tolist() == python_primes(x), x
     assert path.read_bytes() == stored
 
 
-def test_prime_table_grows_and_is_never_replaced_by_a_smaller_one(tmp_path, monkeypatch):
+def test_prime_table_grows_and_is_never_replaced_by_a_smaller_one(tmp_path, monkeypatch, python_primes):
     cdir = str(tmp_path / "cache")
     path = tmp_path / "cache" / "primes.bin"
     series._cached_primes(cdir, 3000)
     assert _entry(path)[0][6] == 3001
     # x > X' sieves again and replaces the table
-    assert series._cached_primes(cdir, 8000).tolist() == _python_primes(8000)
+    assert series._cached_primes(cdir, 8000).tolist() == python_primes(8000)
     assert _entry(path)[0][6] == 8009
     stored = path.read_bytes()
     # a smaller table never replaces a valid larger one
-    series._cache_write(str(path), series._PRIME_TABLE, 3001, np.array(_python_primes(3001), dtype="<u4"))
+    series._cache_write(str(path), series._PRIME_TABLE, 3001, np.array(python_primes(3001), dtype="<u4"))
     assert path.read_bytes() == stored
     # nor does one sieved while another process wrote a larger table
     # between this process's read and its write
@@ -662,13 +660,13 @@ def test_prime_table_grows_and_is_never_replaced_by_a_smaller_one(tmp_path, monk
         return out
 
     monkeypatch.setattr(series, "primes_in", racing)
-    assert series._cached_primes(str(other), 10000).tolist() == _python_primes(10000)
+    assert series._cached_primes(str(other), 10000).tolist() == python_primes(10000)
     assert _entry(other / "primes.bin")[0][6] == 20011
     monkeypatch.setattr(series, "primes_in", _fail)
-    assert series._cached_primes(str(other), 20011).tolist() == _python_primes(20011)
+    assert series._cached_primes(str(other), 20011).tolist() == python_primes(20011)
 
 
-def test_every_flipped_prime_table_header_bit_is_a_miss(tmp_path):
+def test_every_flipped_prime_table_header_bit_is_a_miss(tmp_path, python_primes):
     # X' is bound to the table's last prime, so a flipped bit of it is a
     # miss as well, never a table short of the primes below a larger X'
     path = tmp_path / "primes.bin"
@@ -680,7 +678,7 @@ def test_every_flipped_prime_table_header_bit_is_a_miss(tmp_path):
             data[byte] ^= 1 << bit
             path.write_bytes(data)
             assert series._cache_read(str(path), series._PRIME_TABLE) is None, (byte, bit)
-            assert series._cached_primes(str(tmp_path), 1000).tolist() == _python_primes(1000)
+            assert series._cached_primes(str(tmp_path), 1000).tolist() == python_primes(1000)
             assert path.read_bytes() == good
 
 
