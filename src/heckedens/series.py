@@ -1,9 +1,12 @@
 """Truncated q-expansions of level-1 eigenforms modulo a prime power.
 
 Modular mode stores coefficients as canonical int64 residues and multiplies
-dense series on float64 FFTs of signed limbs, whose width a proven rounding
-bound sets and a random evaluation mod 2^61 - 1 checks.  Exact mode keeps
-Python big integers for tiny ranges (X <= 10^4) and only multiplies naively.
+dense series on float64 FFTs of signed limbs.  Percival's rounding bound
+sets their width: one limb when the bound in the inputs' own norms proves
+it, else the fewest limbs the bound proves for every input.  Each product
+is then held to its exact magnitude bound and checked at a random point
+mod 2^61 - 1.  Exact mode keeps Python big integers for tiny ranges
+(X <= 10^4) and only multiplies naively.
 Modular eigenforms are cached on disk in a checksummed binary file per
 (weight, ell, m), and the primes scans walk in one table per cache
 directory, under the same header, checksum and writer.
@@ -36,11 +39,13 @@ NAIVE_MAX_X = 10 ** 4
 DENSE_MAX_BYTES = 3 << 30
 
 # float64 unit roundoff, the allowance for the error of each precomputed root
-# of unity, and the Mersenne prime and block length of the random evaluation
+# of unity, and the Mersenne prime, block length and blocks per matrix
+# product of the random evaluation
 _EPS = 2.0 ** -53
 _TWIDDLE_ERR = 4 * _EPS
 _CHECK_P = (1 << 61) - 1
 _CHECK_BLOCK = 1 << 13
+_CHECK_GROUP = 4
 
 
 @dataclass
@@ -96,29 +101,35 @@ class ProductPlan(NamedTuple):
     error_bound: float  # proven bound on the rounding error of any coefficient
 
 
-def _rounding_bound(X: int, n: int, limbs: int, digit: int) -> float:
-    """Percival's bound (Math. Comp. 2003, Thm. 5.1) on the error of a length-n
-    float64 FFT convolution: |x||y| ((1+e)^(3 lg n) (1+sqrt(5)e)^(3 lg n + 1)
-    (1+b)^(3 lg n) - 1) for unit roundoff e and root error b; Brent, Percival
-    and Zimmermann (2007) proved the complex-product error sqrt(5)e.  A sum
-    of `limbs` products adds `limbs` roundings; |x||y| <= limbs (X+1) digit^2.
-    The model is radix-2; `_value_at` checks what numpy computes."""
+def _growth(n: int, products: int) -> float:
+    """Percival's factor (Math. Comp. 2003, Thm. 5.1) for a length-n float64
+    FFT convolution: (1+e)^(3 lg n) (1+sqrt(5)e)^(3 lg n + 1) (1+b)^(3 lg n)
+    - 1 for unit roundoff e and root error b; Brent, Percival and Zimmermann
+    (2007) proved the complex-product error sqrt(5)e.  A sum of `products`
+    spectrum products adds `products` roundings.  Times |x||y|, it bounds the
+    error of every coefficient.  The model is radix-2; `_value_at` checks
+    what numpy computes."""
     lg = n.bit_length() - 1
-    growth = math.expm1(
-        (3 * lg + limbs) * math.log1p(_EPS)
+    return math.expm1(
+        (3 * lg + products) * math.log1p(_EPS)
         + (3 * lg + 1) * math.log1p(math.sqrt(5) * _EPS)
         + 3 * lg * math.log1p(_TWIDDLE_ERR)
     )
-    return limbs * (X + 1) * digit * digit * growth
+
+
+def _rounding_bound(X: int, n: int, limbs: int, digit: int) -> float:
+    """Percival's bound for a sum of `limbs` limb products in the worst
+    case |x||y| <= limbs (X+1) digit^2."""
+    return limbs * (X + 1) * digit * digit * _growth(n, limbs)
 
 
 def _plan_product(X: int, q: int) -> ProductPlan:
-    """Fewest limbs of L = ceil(bits(q // 2) / k) bits, the residues shifted
-    to (-q/2, q/2], whose bound is below 1/2; n is the least power of two
-    >= 2X.  At most 2k spectra live with seven more buffers of their size
-    (sum, product, inverse, int64 copy, numpy.fft's copies): so counted, the
-    bytes stayed above the peak RSS added at X = 2^22..2^24.  CapacityError
-    comes before any allocation."""
+    """The worst-case plan: fewest limbs of L = ceil(bits(q // 2) / k) bits,
+    the residues shifted to (-q/2, q/2], whose bound is below 1/2 for every
+    input; n is the least power of two >= 2X.  At most 2k spectra live with
+    seven more buffers of their size (sum, product, inverse, int64 copy,
+    numpy.fft's copies): so counted, the bytes stayed above the peak RSS
+    added at X = 2^22..2^24.  CapacityError comes before any allocation."""
     n = 1
     while n < 2 * X:
         n *= 2
@@ -137,43 +148,76 @@ def _plan_product(X: int, q: int) -> ProductPlan:
     return ProductPlan(n, limbs, L, bound)
 
 
+def _centre(v: np.ndarray, q: int) -> np.ndarray:
+    """Residues below q shifted to (-q/2, q/2]."""
+    return v - q * (v > q // 2)
+
+
+def _plan_from_norms(plan: ProductPlan, ca: np.ndarray, cb: np.ndarray, q: int) -> ProductPlan:
+    """One limb of bits(q // 2) bits when Percival's bound, taken with the
+    exact norms of the centred inputs ca and cb, is below 1/2; else the
+    worst-case plan, which this can only shorten.  The squared norms are
+    int64 sums, exact while (X+1)(q//2)^2 < 2^63; past that the plan stands."""
+    if plan.limbs == 1 or len(ca) * (q // 2) ** 2 >= 1 << 63:
+        return plan
+    na = int(np.dot(ca, ca))
+    nb = na if cb is ca else int(np.dot(cb, cb))
+    bound = (math.isqrt(na * nb) + 1) * _growth(plan.n, 1)
+    return ProductPlan(plan.n, 1, (q // 2).bit_length(), bound) if bound < 0.5 else plan
+
+
 @functools.cache
 def _check_point() -> tuple[int, np.ndarray]:
-    """r, drawn once per process, and r^0..r^(BLOCK-1) mod P as 16-bit pieces."""
+    """r, drawn once per process, and r^0..r^(BLOCK-1) mod P as four rows of
+    16-bit pieces."""
     r = random.SystemRandom().randrange(_CHECK_P)
     powers = np.empty(_CHECK_BLOCK, dtype=np.int64)
     powers[0] = 1
     for i in range(1, _CHECK_BLOCK):
         powers[i] = int(powers[i - 1]) * r % _CHECK_P
-    pieces = np.empty((_CHECK_BLOCK, 4))
+    pieces = np.empty((4, _CHECK_BLOCK))
     for u in range(4):
-        pieces[:, u] = (powers >> (16 * u)) & 0xFFFF
+        pieces[u] = (powers >> (16 * u)) & 0xFFFF
     return r, pieces
 
 
 def _value_at(v: np.ndarray, bits: int) -> int:
-    """v(r) mod P for int64 |v_i| < 2^bits, by Horner over blocks; v is cut
-    into ceil(bits/18) pieces, the top one signed, and each piece (|piece| <=
-    2^18) times the powers' 16-bit pieces sums over a block below 2^47,
-    exact in float64."""
+    """v(r) mod P for int64 |v_i| < 2^bits.  v is cut into ceil(bits/18)
+    pieces, the top one signed, and each piece (|piece| <= 2^18) times the
+    powers' 16-bit pieces sums over a block below 2^47, exact in float64.
+    One matrix product gives those sums for a group of _CHECK_GROUP blocks,
+    held in one fixed float buffer, and Horner's rule in r^BLOCK joins the
+    blocks from the top."""
     r, pieces = _check_point()
     step = pow(r, _CHECK_BLOCK, _CHECK_P)
-    top = max(1, -(-bits // 18)) - 1
+    count = max(1, -(-bits // 18))
+    shifts = [18 * i + 16 * j for i in range(count) for j in range(4)]
+    span = _CHECK_BLOCK * _CHECK_GROUP
+    buf = np.empty(count * min(span, -(-len(v) // _CHECK_BLOCK) * _CHECK_BLOCK))
     acc = 0
-    for start in range((len(v) - 1) // _CHECK_BLOCK * _CHECK_BLOCK, -1, -_CHECK_BLOCK):
-        chunk = v[start : start + _CHECK_BLOCK]
-        split = np.stack([(chunk >> (18 * i)) & 0x3FFFF for i in range(top)] + [chunk >> (18 * top)])
-        sums = (split.astype(np.float64) @ pieces[: len(chunk)]).tolist()
-        acc = acc * step + sum(int(sums[i][j]) << (18 * i + 16 * j) for i in range(top + 1) for j in range(4))
-        acc %= _CHECK_P
+    for start in range((len(v) - 1) // span * span, -1, -span):
+        chunk = v[start : start + span]
+        blocks = -(-len(chunk) // _CHECK_BLOCK)
+        split = buf[: count * blocks * _CHECK_BLOCK].reshape(count, -1)
+        for i in range(count):
+            piece = chunk >> (18 * i) if i else chunk
+            split[i, : len(chunk)] = piece & 0x3FFFF if i < count - 1 else piece
+        split[:, len(chunk) :] = 0
+        sums = (split.reshape(count * blocks, _CHECK_BLOCK) @ pieces.T).reshape(count, blocks, 4)
+        for row in reversed(sums.transpose(1, 0, 2).reshape(blocks, -1).tolist()):
+            acc = (acc * step + sum(int(x) << u for x, u in zip(row, shifts))) % _CHECK_P
     return acc
 
 
 def _fft_convolve_mod(a: np.ndarray, b: np.ndarray, q: int, X: int) -> np.ndarray:
     """Cauchy product of a and b (each of length X+1) truncated at X, mod q.
 
-    For each s the limb spectrum products A_i B_j, i + j = s, are summed,
-    inverted and rounded to the integer convolution c_s; the result is
+    The residues are centred and planned first: the worst-case plan, which
+    may raise CapacityError, then `_plan_from_norms`.  One limb is the
+    centred residues themselves, and c_0 mod q is the result.  With k >= 2
+    limbs each centred residue is cut into k signed digits of L bits; for
+    each s the limb spectrum products A_i B_j, i + j = s, are summed,
+    inverted and rounded to the integer convolution c_s, and the result is
     sum_s c_s 2^(L s) mod q.  At n = 2X the degree-2X term wraps onto index
     0 and is subtracted.  With `a is b` each A_i A_j is formed once.
     Each c_s is held to its exact bound, then checked (Freivalds) at an r
@@ -182,21 +226,26 @@ def _fft_convolve_mod(a: np.ndarray, b: np.ndarray, q: int, X: int) -> np.ndarra
     A mismatch raises ArithmeticError.
     """
     square = a is b
-    n, k, L, _ = _plan_product(X, q)
+    plan = _plan_product(X, q)
+    ca = _centre(a, q)
+    cb = ca if square else _centre(b, q)
+    n, k, L, _ = _plan_from_norms(plan, ca, cb, q)
     digit = min((1 << L) - 1, q // 2)
 
-    def split(v):
-        """Spectra, values at r and top coefficients of v's signed limbs."""
-        centred = np.where(v > q // 2, v - q, v)
-        sign, mag = np.sign(centred), np.abs(centred)
-        limbs = [sign * ((mag >> (L * i)) & ((1 << L) - 1)) for i in range(k)]
+    def split(centred):
+        """Spectra, values at r and top coefficients of the signed limbs."""
+        if k == 1:
+            limbs = [centred]
+        else:
+            sign, mag = np.sign(centred), np.abs(centred)
+            limbs = [sign * ((mag >> (L * i)) & ((1 << L) - 1)) for i in range(k)]
         return [np.fft.rfft(x, n) for x in limbs], [_value_at(x, L) for x in limbs], [int(x[X]) for x in limbs]
 
-    fa, ra, ta = split(a)
-    fb, rb, tb = (fa, ra, ta) if square else split(b)
+    fa, ra, ta = split(ca)
+    fb, rb, tb = (fa, ra, ta) if square else split(cb)
+    del ca, cb
     wrapped = n == 2 * X
     r_top = pow(_check_point()[0], 2 * X, _CHECK_P) if wrapped else 0
-    out = np.zeros(X + 1, dtype=np.int64)
     for s in range(2 * k - 1):
         pairs = [(i, s - i) for i in range(max(0, s - k + 1), min(s, k - 1) + 1)]
         spec = None
@@ -214,11 +263,17 @@ def _fft_convolve_mod(a: np.ndarray, b: np.ndarray, q: int, X: int) -> np.ndarra
         if wrapped:
             c[0] -= top
         bound = len(pairs) * (X + 1) * digit * digit
-        if int(np.abs(c).max()) > bound or (
+        if max(int(c.max()), -int(c.min())) > bound or (
             _value_at(c, bound.bit_length()) + top * r_top - sum(ra[i] * rb[j] for i, j in pairs)
         ) % _CHECK_P:
             raise ArithmeticError(f"limb product {s} of a length-{n} transform failed its check (X={X}, q={q})")
-        out = (out + c[: X + 1] % q * pow(2, L * s, q)) % q
+        part = kernels.mod(c[: X + 1], q)
+        if s:
+            part *= pow(2, L * s, q)
+            out += part
+            kernels.mod(out, q, out=out)
+        else:
+            out = part
     return out
 
 
@@ -313,8 +368,9 @@ def eisenstein(weight: int, X: int, modulus: PrimePower | None) -> SeriesModQ:
         out = [1] + [c * s for s in sig[1:]]
         return SeriesModQ(None, out) if modulus is None else new_series(modulus, out)
     q = modulus.q
-    sig = kernels.sigma_pow_sieve(X, e, q)
-    out = c % q * sig % q
+    out = kernels.sigma_pow_sieve(X, e, q)
+    out *= c % q
+    kernels.mod(out, q, out=out)
     out[0] = 1 % q
     return SeriesModQ(modulus, out)
 

@@ -135,13 +135,23 @@ def check_series_oracle(X: int) -> tuple[bool, str]:
     # residue, all q // 2 the largest signed limb and the worst rounding case
     for v in (widest.q - 1, widest.q // 2):
         cases.append((widest, np.full(X + 1, v), np.full(X + 1, v)))
+    # random residues mod 100003: from X = 5864 the worst case takes two
+    # limbs, and the inputs' norms still prove one
+    normed = PrimePower(100003, 1)
+    ra, rb = rng.integers(0, normed.q, X + 1), rng.integers(0, normed.q, X + 1)
+    cases.append((normed, ra, rb))
     for pp, ca, cb in cases:
         a, b = series.new_series(pp, ca), series.new_series(pp, cb)
         fast = series.series_mul(a, b)
         ref = series.series_mul_naive(a, b)
         if not np.array_equal(fast.coeffs, ref.coeffs):
             return False, f"transform != naive at q={pp.q}, X={X}"
-    return True, f"transform path matches naive oracle at X={X}, up to q = 2^31 - 1"
+    worst = series._plan_product(X, normed.q)
+    plan = series._plan_from_norms(worst, series._centre(ra, normed.q), series._centre(rb, normed.q), normed.q)
+    return True, (
+        f"transform path matches naive oracle at X={X}, up to q = 2^31 - 1; "
+        f"mod {normed.q} in {plan.limbs} limb(s) where the worst case takes {worst.limbs}"
+    )
 
 
 def check_eigenform_values() -> tuple[bool, str]:

@@ -233,22 +233,68 @@ def test_planned_bound_below_half_where_admitted():
                     assert _rounding_bound(X, plan.n, fewer, min((1 << wide) - 1, q // 2)) >= 0.5
 
 
+def test_norm_plan_keeps_the_worst_case_limbs_for_worst_case_inputs():
+    # all q // 2 has the worst-case norms, so one limb stays unproven; the
+    # worst case takes two limbs from X = 5864 (q = 100003), 3673 (q = 2^17 - 1)
+    # and 92 (q = 2^20 - 3)
+    for q, X in ((100003, 5864), (100003, 10 ** 4), (2 ** 17 - 1, 3673), (2 ** 20 - 3, 92), (2 ** 20 - 3, 3000)):
+        plan = _plan_product(X, q)
+        assert plan.limbs > 1
+        worst = series._centre(np.full(X + 1, q // 2), q)
+        assert series._plan_from_norms(plan, worst, worst, q) == plan
+
+
+@pytest.mark.parametrize("square", [True, False])
+def test_norm_plan_runs_random_residues_with_one_limb(monkeypatch, square):
+    # random residues mod 100003 at X = 10^4: the worst case needs two limbs
+    # (one limb bounds at 0.91), the inputs' norms prove one (about 0.30)
+    pp = PrimePower(100003, 1)
+    q, X = pp.q, 10 ** 4
+    rng = np.random.default_rng(100003)
+    a = new_series(pp, rng.integers(0, q, X + 1))
+    b = a if square else new_series(pp, rng.integers(0, q, X + 1))
+    worst = _plan_product(X, q)
+    assert worst.limbs == 2 and 0.9 < _rounding_bound(X, worst.n, 1, q // 2) < 0.92
+    ca, cb = series._centre(a.coeffs, q), series._centre(b.coeffs, q)
+    plan = series._plan_from_norms(worst, ca, ca if square else cb, q)
+    assert (plan.n, plan.limbs, plan.limb_bits) == (worst.n, 1, (q // 2).bit_length())
+    assert 0.25 < plan.error_bound < 0.35
+    inverses = []
+    irfft = np.fft.irfft
+
+    def recording(*args, **kwargs):
+        out = irfft(*args, **kwargs)
+        inverses.append((args[1], float(np.abs(out - np.rint(out)).max())))
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", recording)
+    assert np.array_equal(series_mul(a, b).coeffs, series_mul_naive(a, b).coeffs)
+    # one limb: one inverse transform, not three, within the norm bound
+    assert len(inverses) == 1 and inverses[0][0] == worst.n and 0 < inverses[0][1] < plan.error_bound
+
+
 def test_value_at_matches_horner_at_every_piece_boundary():
     # one, two, three and four 18-bit pieces, at and beside each boundary,
-    # over two full blocks and a partial one, with the extreme magnitudes
+    # with the extreme magnitudes, at lengths at and beside the block and
+    # group boundaries, over more blocks than one group
     r, _ = series._check_point()
     P = series._CHECK_P
+    block, span = series._CHECK_BLOCK, series._CHECK_BLOCK * series._CHECK_GROUP
+    lengths = sorted({1, 2 * block + 5} | {x + d for x in (block, span, 2 * span + block) for d in (-1, 0, 1)})
     rng = np.random.default_rng(8)
-    n = 2 * series._CHECK_BLOCK + 5
     for bits in (1, 2, 17, 18, 19, 35, 36, 37, 53, 54, 55, 62):
         hi = (1 << bits) - 1
-        v = rng.integers(-hi, hi, n, endpoint=True)
+        v = rng.integers(-hi, hi, lengths[-1], endpoint=True)
+        v[[n - 1 for n in lengths]] = -hi  # the top coefficient of every longer prefix
         v[:4] = (hi, -hi, 0, -1)
-        v[-1] = -hi
-        want = 0
-        for x in reversed(v.tolist()):
-            want = (want * r + x) % P
-        assert series._value_at(v, bits) == want, bits
+        # sum v_i r^i over each prefix, accumulated upwards
+        want, acc, power = {}, 0, 1
+        for i, x in enumerate(v.tolist(), 1):
+            acc = (acc + x * power) % P
+            power = power * r % P
+            want[i] = acc
+        for n in lengths:
+            assert series._value_at(v[:n], bits) == want[n], (bits, n)
 
 
 def test_random_evaluation_catches_a_wrong_coefficient(monkeypatch):
