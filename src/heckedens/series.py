@@ -1,12 +1,15 @@
 """Truncated q-expansions of level-1 eigenforms modulo a prime power.
 
 Modular mode stores coefficients as canonical int64 residues and multiplies
-dense series on float64 FFTs of signed limbs.  Percival's rounding bound
-sets their width: one limb when the bound in the inputs' own norms proves
-it, else the fewest limbs the bound proves for every input.  Each product
-is then held to its exact magnitude bound and checked at a random point
-mod 2^61 - 1.  Exact mode keeps Python big integers for tiny ranges
-(X <= 10^4) and only multiplies naively.
+dense series on float64 FFTs of signed limbs, in one blocked product: up
+to 2^15 coefficients form one block, longer inputs are cut into at most 16
+blocks and each output block sums the block products that land in it, so
+transforms stay cache-sized and temporaries block-sized.  Percival's
+rounding bound sets the limbs' width: one limb when the bound in the
+inputs' own norms proves it, else the fewest limbs the bound proves for
+every input.  Each block sum is then held to its exact magnitude bound and
+checked at a random point mod 2^61 - 1.  Exact mode keeps Python big
+integers for tiny ranges (X <= 10^4) and only multiplies naively.
 Modular eigenforms are cached on disk in a checksummed binary file per
 (weight, ell, m), and the primes scans walk in one table per cache
 directory, under the same header, checksum and writer.
@@ -95,10 +98,32 @@ def new_series(modulus: PrimePower | None, values, X: int | None = None) -> Seri
 
 
 class ProductPlan(NamedTuple):
-    n: int  # transform length, the least power of two >= 2X
+    n: int  # transform length: 2B, or for one block the least power of two >= 2X
+    block: int  # B, the length of each input block; X + 1 for one block
+    blocks: int  # K = ceil((X + 1) / B)
     limbs: int  # signed limbs per residue, each of magnitude below 2^limb_bits
     limb_bits: int
-    error_bound: float  # proven bound on the rounding error of any coefficient
+    error_bound: float  # proven bound on the rounding error of any coefficient of any sum
+
+
+# one block while X + 1 <= _BLOCK_MIN; above, blocks of _BLOCK_MIN doubled
+# until there are at most _BLOCKS_MAX of them
+_BLOCK_MIN = 1 << 15
+_BLOCKS_MAX = 16
+
+
+def _layout(X: int) -> tuple[int, int, int]:
+    """(n, B, K): one block of X + 1 on the least power of two n >= 2X, or
+    K blocks of a power of two B on transforms of length 2B."""
+    if X + 1 <= _BLOCK_MIN:
+        n = 1
+        while n < 2 * X:
+            n *= 2
+        return n, X + 1, 1
+    B = _BLOCK_MIN
+    while -(-(X + 1) // B) > _BLOCKS_MAX:
+        B *= 2
+    return 2 * B, B, -(-(X + 1) // B)
 
 
 def _growth(n: int, products: int) -> float:
@@ -106,9 +131,9 @@ def _growth(n: int, products: int) -> float:
     FFT convolution: (1+e)^(3 lg n) (1+sqrt(5)e)^(3 lg n + 1) (1+b)^(3 lg n)
     - 1 for unit roundoff e and root error b; Brent, Percival and Zimmermann
     (2007) proved the complex-product error sqrt(5)e.  A sum of `products`
-    spectrum products adds `products` roundings.  Times |x||y|, it bounds the
-    error of every coefficient.  The model is radix-2; `_value_at` checks
-    what numpy computes."""
+    spectrum products adds `products` roundings.  Times the sum of |x||y|
+    over its products, it bounds the error of every coefficient.  The model
+    is radix-2; `_value_at` checks what numpy computes."""
     lg = n.bit_length() - 1
     return math.expm1(
         (3 * lg + products) * math.log1p(_EPS)
@@ -117,35 +142,36 @@ def _growth(n: int, products: int) -> float:
     )
 
 
-def _rounding_bound(X: int, n: int, limbs: int, digit: int) -> float:
-    """Percival's bound for a sum of `limbs` limb products in the worst
-    case |x||y| <= limbs (X+1) digit^2."""
-    return limbs * (X + 1) * digit * digit * _growth(n, limbs)
+def _rounding_bound(X: int, n: int, limbs: int, digit: int, blocks: int) -> float:
+    """Percival's bound for any sum of at most `blocks` block pairs and
+    `limbs` limb pairs.  For each limb pair, Cauchy-Schwarz bounds the sum
+    over the block pairs i + j = t of |a_i||b_j| by |a||b| <= (X+1) digit^2."""
+    return limbs * (X + 1) * digit * digit * _growth(n, blocks * limbs)
 
 
-def _plan_product(X: int, q: int) -> ProductPlan:
-    """The worst-case plan: fewest limbs of L = ceil(bits(q // 2) / k) bits,
-    the residues shifted to (-q/2, q/2], whose bound is below 1/2 for every
-    input; n is the least power of two >= 2X.  At most 2k spectra live with
-    seven more buffers of their size (sum, product, inverse, int64 copy,
-    numpy.fft's copies): so counted, the bytes stayed above the peak RSS
-    added at X = 2^22..2^24.  CapacityError comes before any allocation."""
-    n = 1
-    while n < 2 * X:
-        n *= 2
+def _plan_product(X: int, q: int, square: bool = False) -> ProductPlan:
+    """The worst-case plan: the block layout of `_layout`, and the fewest
+    limbs of L = ceil(bits(q // 2) / k) bits, the residues shifted to
+    (-q/2, q/2], whose bound is below 1/2 for every input.  The held spectra
+    take k K (B+1) complex values per input (one input for a square); beside
+    them live seven buffers of a block spectrum's size (sum, product,
+    inverse, int64 copy, numpy.fft's copies) and two int64 arrays of X + 1
+    (the centred inputs, then the output).  CapacityError comes before any
+    allocation."""
+    n, B, K = _layout(X)
     bits = (q // 2).bit_length()
     for limbs in range(1, bits + 1):
         L = -(-bits // limbs)
-        bound = _rounding_bound(X, n, limbs, min((1 << L) - 1, q // 2))
+        bound = _rounding_bound(X, n, limbs, min((1 << L) - 1, q // 2), K)
         if bound < 0.5:
             break
-    nbytes = (2 * limbs + 7) * (n // 2 + 1) * 16
+    nbytes = ((1 if square else 2) * limbs * K + 7) * (n // 2 + 1) * 16 + 2 * (X + 1) * 8
     if bound >= 0.5 or nbytes > DENSE_MAX_BYTES:
         raise CapacityError(
-            f"dense product at X={X}, q={q} needs {nbytes / 2 ** 30:.1f} GiB of transform buffers "
-            f"({limbs} limbs, length {n}); the limit is {DENSE_MAX_BYTES / 2 ** 30:.1f} GiB"
+            f"dense product at X={X}, q={q} needs {nbytes / 2 ** 30:.1f} GiB of spectra and buffers "
+            f"({limbs} limbs, {K} blocks on length-{n} transforms); the limit is {DENSE_MAX_BYTES / 2 ** 30:.1f} GiB"
         )
-    return ProductPlan(n, limbs, L, bound)
+    return ProductPlan(n, B, K, limbs, L, bound)
 
 
 def _centre(v: np.ndarray, q: int) -> np.ndarray:
@@ -156,14 +182,15 @@ def _centre(v: np.ndarray, q: int) -> np.ndarray:
 def _plan_from_norms(plan: ProductPlan, ca: np.ndarray, cb: np.ndarray, q: int) -> ProductPlan:
     """One limb of bits(q // 2) bits when Percival's bound, taken with the
     exact norms of the centred inputs ca and cb, is below 1/2; else the
-    worst-case plan, which this can only shorten.  The squared norms are
-    int64 sums, exact while (X+1)(q//2)^2 < 2^63; past that the plan stands."""
+    worst-case plan, which this can only shorten.  |a||b| bounds every block
+    sum by Cauchy-Schwarz.  The squared norms are int64 sums, exact while
+    (X+1)(q//2)^2 < 2^63; past that the plan stands."""
     if plan.limbs == 1 or len(ca) * (q // 2) ** 2 >= 1 << 63:
         return plan
     na = int(np.dot(ca, ca))
     nb = na if cb is ca else int(np.dot(cb, cb))
-    bound = (math.isqrt(na * nb) + 1) * _growth(plan.n, 1)
-    return ProductPlan(plan.n, 1, (q // 2).bit_length(), bound) if bound < 0.5 else plan
+    bound = (math.isqrt(na * nb) + 1) * _growth(plan.n, plan.blocks)
+    return plan._replace(limbs=1, limb_bits=(q // 2).bit_length(), error_bound=bound) if bound < 0.5 else plan
 
 
 @functools.cache
@@ -213,67 +240,97 @@ def _fft_convolve_mod(a: np.ndarray, b: np.ndarray, q: int, X: int) -> np.ndarra
     """Cauchy product of a and b (each of length X+1) truncated at X, mod q.
 
     The residues are centred and planned first: the worst-case plan, which
-    may raise CapacityError, then `_plan_from_norms`.  One limb is the
-    centred residues themselves, and c_0 mod q is the result.  With k >= 2
-    limbs each centred residue is cut into k signed digits of L bits; for
-    each s the limb spectrum products A_i B_j, i + j = s, are summed,
-    inverted and rounded to the integer convolution c_s, and the result is
-    sum_s c_s 2^(L s) mod q.  At n = 2X the degree-2X term wraps onto index
-    0 and is subtracted.  With `a is b` each A_i A_j is formed once.
-    Each c_s is held to its exact bound, then checked (Freivalds) at an r
-    mod P = 2^61 - 1 drawn once per process, independent of the inputs: a
-    wrong c_s passes with probability <= (n - 1)/P < 2^-36 for n <= 2^25.
-    A mismatch raises ArithmeticError.
+    may raise CapacityError, then `_plan_from_norms`.  Each input is cut into
+    K blocks of length B and each block into k limbs: one limb is the centred
+    residues themselves, and with k >= 2 each centred residue is cut into k
+    signed digits of L bits.  Every limb of every block is transformed once
+    at length n.  For each output block t < K and limb sum s, the spectrum
+    products A_(i,l) B_(j,m) with i + j = t and l + m = s are summed,
+    inverted once and rounded to the integer convolution c_(t,s); block t of
+    the result is the low half of sum_s c_(t,s) 2^(L s) plus the high half
+    of the same sum for t - 1, mod q.  With one block (B = X + 1) at n = 2X
+    the degree-2X term wraps onto index 0 and is subtracted; with K >= 2,
+    n = 2B holds every block product.  With `a is b` each pair is formed
+    once and doubled.  Each c_(t,s) is held to its exact bound, then checked
+    (Freivalds) against the blocks' values at an r mod P = 2^61 - 1 drawn
+    once per process, independent of the inputs: a wrong c_(t,s) passes
+    with probability <= (n - 1)/P < 2^-36 for n <= 2^25.  A mismatch raises
+    ArithmeticError.
     """
     square = a is b
-    plan = _plan_product(X, q)
+    plan = _plan_product(X, q, square)
     ca = _centre(a, q)
     cb = ca if square else _centre(b, q)
-    n, k, L, _ = _plan_from_norms(plan, ca, cb, q)
+    n, B, K, k, L, _ = _plan_from_norms(plan, ca, cb, q)
     digit = min((1 << L) - 1, q // 2)
 
     def split(centred):
-        """Spectra, values at r and top coefficients of the signed limbs."""
-        if k == 1:
-            limbs = [centred]
-        else:
-            sign, mag = np.sign(centred), np.abs(centred)
-            limbs = [sign * ((mag >> (L * i)) & ((1 << L) - 1)) for i in range(k)]
-        return [np.fft.rfft(x, n) for x in limbs], [_value_at(x, L) for x in limbs], [int(x[X]) for x in limbs]
+        """Per block, the spectra and values at r of its signed limbs; and
+        the limbs' top coefficients."""
+        spectra, values = [], []
+        for start in range(0, X + 1, B):
+            block = centred[start : start + B]
+            if k == 1:
+                limbs = [block]
+            else:
+                sign, mag = np.sign(block), np.abs(block)
+                limbs = [sign * ((mag >> (L * i)) & ((1 << L) - 1)) for i in range(k)]
+            spectra.append([np.fft.rfft(x, n) for x in limbs])
+            values.append([_value_at(x, L) for x in limbs])
+        return spectra, values, [int(x[-1]) for x in limbs]
 
     fa, ra, ta = split(ca)
     fb, rb, tb = (fa, ra, ta) if square else split(cb)
     del ca, cb
-    wrapped = n == 2 * X
+    wrapped = n < 2 * B - 1  # one block of X + 1 at n = 2X
     r_top = pow(_check_point()[0], 2 * X, _CHECK_P) if wrapped else 0
-    for s in range(2 * k - 1):
-        pairs = [(i, s - i) for i in range(max(0, s - k + 1), min(s, k - 1) + 1)]
-        spec = None
-        for i, j in pairs:
-            if square and i > j:
-                continue
-            term = fa[i] * fb[j]
-            if square and i < j:
-                term *= 2
-            spec = term if spec is None else np.add(spec, term, out=spec)
-        c = np.fft.irfft(spec, n)
-        c = np.rint(c, out=c).astype(np.int64)
-        del spec, term
-        top = sum(ta[i] * tb[j] for i, j in pairs)
-        if wrapped:
-            c[0] -= top
-        bound = len(pairs) * (X + 1) * digit * digit
-        if max(int(c.max()), -int(c.min())) > bound or (
-            _value_at(c, bound.bit_length()) + top * r_top - sum(ra[i] * rb[j] for i, j in pairs)
-        ) % _CHECK_P:
-            raise ArithmeticError(f"limb product {s} of a length-{n} transform failed its check (X={X}, q={q})")
-        part = kernels.mod(c[: X + 1], q)
-        if s:
-            part *= pow(2, L * s, q)
-            out += part
-            kernels.mod(out, q, out=out)
-        else:
-            out = part
+    out = np.empty(X + 1, dtype=np.int64)
+    carry = None
+    for t in range(K):
+        start = t * B
+        keep = min(n, X + 1 - start)  # the entries of block t's sums that land in blocks t, t + 1
+        for s in range(2 * k - 1):
+            limb_pairs = [(l, s - l) for l in range(max(0, s - k + 1), min(s, k - 1) + 1)]
+            pairs = [((i, l), (t - i, m)) for i in range(t + 1) for l, m in limb_pairs]
+            spec = term = None
+            for (i, l), (j, m) in pairs:
+                if square and (i, l) > (j, m):
+                    continue
+                if spec is None:
+                    spec = product = fa[i][l] * fb[j][m]
+                else:
+                    term = product = np.multiply(fa[i][l], fb[j][m], out=term)
+                if square and (i, l) < (j, m):
+                    product *= 2
+                if product is term:
+                    spec += term
+            c = np.fft.irfft(spec, n)
+            del spec, term, product
+            c = np.rint(c, out=c).astype(np.int64)
+            top = sum(ta[l] * tb[m] for l, m in limb_pairs)
+            if wrapped:
+                c[0] -= top
+            bound = len(pairs) * B * digit * digit
+            if max(int(c.max()), -int(c.min())) > bound or (
+                _value_at(c, bound.bit_length()) + top * r_top - sum(ra[i][l] * rb[j][m] for (i, l), (j, m) in pairs)
+            ) % _CHECK_P:
+                raise ArithmeticError(
+                    f"sum {s} of output block {t} of length-{n} transforms failed its check (X={X}, q={q})"
+                )
+            if k == 1:
+                acc = c[:keep]
+            elif s:
+                part = kernels.mod(c[:keep], q)
+                part *= pow(2, L * s, q)
+                acc += part
+                kernels.mod(acc, q, out=acc)
+            else:
+                acc = kernels.mod(c[:keep], q)
+        low = acc[:B]
+        if carry is not None:
+            low += carry
+        kernels.mod(low, q, out=out[start : start + len(low)])
+        carry = acc[B:]
     return out
 
 

@@ -124,7 +124,7 @@ def check_partitions(max_m: int) -> tuple[bool, str]:
     return True, "min s1 + floor((s2+1)/2) >= 3m/n with the closed-form argmin"
 
 
-def check_series_oracle(X: int) -> tuple[bool, str]:
+def check_series_oracle(X: int, blocked_X: int | None = None) -> tuple[bool, str]:
     rng = np.random.default_rng(20230517)
     widest = PrimePower(2 ** 31 - 1, 1)
     cases = []
@@ -148,9 +148,26 @@ def check_series_oracle(X: int) -> tuple[bool, str]:
             return False, f"transform != naive at q={pp.q}, X={X}"
     worst = series._plan_product(X, normed.q)
     plan = series._plan_from_norms(worst, series._centre(ra, normed.q), series._centre(rb, normed.q), normed.q)
-    return True, (
+    detail = (
         f"transform path matches naive oracle at X={X}, up to q = 2^31 - 1; "
         f"mod {normed.q} in {plan.limbs} limb(s) where the worst case takes {worst.limbs}"
+    )
+    if blocked_X is None:
+        return True, detail
+    # one product in K >= 2 blocks, the last one partial, against the
+    # quadratic convolution itself: series_mul_naive stops at NAIVE_MAX_X
+    blocked = series._plan_product(blocked_X, normed.q)
+    if blocked.blocks < 2 or (blocked_X + 1) % blocked.block == 0:
+        return False, f"X={blocked_X} is not cut into blocks with a partial last one: {blocked}"
+    ra, rb = rng.integers(0, normed.q, blocked_X + 1), rng.integers(0, normed.q, blocked_X + 1)
+    t0 = time.perf_counter()
+    fast = series.series_mul(series.new_series(normed, ra), series.new_series(normed, rb))
+    t1 = time.perf_counter()
+    if not np.array_equal(fast.coeffs, series._naive_convolve_mod(ra, rb, normed.q, blocked_X)):
+        return False, f"blocked transform != quadratic convolution at q={normed.q}, X={blocked_X}"
+    return True, (
+        f"{detail}; mod {normed.q} at X={blocked_X} in {blocked.blocks} blocks of {blocked.block} "
+        f"({t1 - t0:.3f} s) equals the quadratic convolution ({time.perf_counter() - t1:.2f} s)"
     )
 
 
@@ -261,7 +278,7 @@ def run(level: str = "quick", cache_dir: str | None = None):
         ("density sum to one", lambda: check_sum_to_one((10, 12, 18), (
             (5, 1), (7, 1), (3, 2), (5, 2), (7, 2)) if full else ((5, 1), (7, 1), (3, 2)))),
         ("partition bound", lambda: check_partitions(12)),
-        ("series transform oracle", lambda: check_series_oracle(10 ** 4 if full else 10 ** 3)),
+        ("series transform oracle", lambda: check_series_oracle(10 ** 4 if full else 10 ** 3, 40000 if full else None)),
         ("eigenform values", check_eigenform_values),
         ("Hecke relations", lambda: check_hecke_relations(10 ** 4 if full else 2000, cache_dir)),
         ("Ikeda assembly", check_delta_F_assembly),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -225,12 +226,12 @@ def test_planned_bound_below_half_where_admitted():
                     continue
                 digit = min((1 << plan.limb_bits) - 1, q // 2)
                 assert plan.limbs * plan.limb_bits >= (q // 2).bit_length()
-                assert plan.error_bound == _rounding_bound(X, plan.n, plan.limbs, digit) < 0.5
+                assert plan.error_bound == _rounding_bound(X, plan.n, plan.limbs, digit, plan.blocks) < 0.5
                 if plan.limbs > 1:
                     # one limb fewer would not be proven exact
                     fewer = plan.limbs - 1
                     wide = -(-(q // 2).bit_length() // fewer)
-                    assert _rounding_bound(X, plan.n, fewer, min((1 << wide) - 1, q // 2)) >= 0.5
+                    assert _rounding_bound(X, plan.n, fewer, min((1 << wide) - 1, q // 2), plan.blocks) >= 0.5
 
 
 def test_norm_plan_keeps_the_worst_case_limbs_for_worst_case_inputs():
@@ -254,10 +255,10 @@ def test_norm_plan_runs_random_residues_with_one_limb(monkeypatch, square):
     a = new_series(pp, rng.integers(0, q, X + 1))
     b = a if square else new_series(pp, rng.integers(0, q, X + 1))
     worst = _plan_product(X, q)
-    assert worst.limbs == 2 and 0.9 < _rounding_bound(X, worst.n, 1, q // 2) < 0.92
+    assert worst.limbs == 2 and 0.9 < _rounding_bound(X, worst.n, 1, q // 2, 1) < 0.92
     ca, cb = series._centre(a.coeffs, q), series._centre(b.coeffs, q)
     plan = series._plan_from_norms(worst, ca, ca if square else cb, q)
-    assert (plan.n, plan.limbs, plan.limb_bits) == (worst.n, 1, (q // 2).bit_length())
+    assert (plan.n, plan.blocks, plan.limbs, plan.limb_bits) == (worst.n, 1, 1, (q // 2).bit_length())
     assert 0.25 < plan.error_bound < 0.35
     inverses = []
     irfft = np.fft.irfft
@@ -271,6 +272,22 @@ def test_norm_plan_runs_random_residues_with_one_limb(monkeypatch, square):
     assert np.array_equal(series_mul(a, b).coeffs, series_mul_naive(a, b).coeffs)
     # one limb: one inverse transform, not three, within the norm bound
     assert len(inverses) == 1 and inverses[0][0] == worst.n and 0 < inverses[0][1] < plan.error_bound
+
+
+def test_norm_plan_bounds_every_block_sum():
+    # at X = 10^6 a sum of up to K = 16 block products adds 16 roundings:
+    # the one-limb bound (|a||b| + 1) growth(n, 16) of c residues q // 2
+    # first reaches 1/2 at c = least, where the worst-case plan stands
+    q, X = 100003, 10 ** 6
+    worst = _plan_product(X, q)
+    assert worst.blocks == 16 and worst.limbs > 1
+    unit = (q // 2) ** 2
+    least = math.ceil((0.5 / series._growth(worst.n, 16) - 1) / unit)
+    assert (least * unit + 1) * series._growth(worst.n, 1) < 0.5  # one rounding would not suffice
+    for c, limbs in ((least - 1, 1), (least, worst.limbs)):
+        v = np.zeros(X + 1, dtype=np.int64)
+        v[:c] = q // 2
+        assert series._plan_from_norms(worst, v, v, q).limbs == limbs, c
 
 
 def test_value_at_matches_horner_at_every_piece_boundary():
@@ -297,46 +314,97 @@ def test_value_at_matches_horner_at_every_piece_boundary():
             assert series._value_at(v[:n], bits) == want[n], (bits, n)
 
 
+@pytest.mark.parametrize("ell, m, square", [(11, 1, True), (3, 7, False)])
+def test_blocked_product_memory_is_spectra_and_block_buffers(ell, m, square):
+    # at X = 10^6, 16 blocks of 2^16: the traced peak stays below the held
+    # spectra, two int64 arrays of X + 1 (the centred inputs, then the
+    # output) and eight buffers of a block spectrum's size
+    pp = PrimePower(ell, m)
+    X = 10 ** 6
+    rng = np.random.default_rng(X)
+    a = new_series(pp, rng.integers(0, pp.q, X + 1))
+    b = a if square else new_series(pp, rng.integers(0, pp.q, X + 1))
+    plan = _plan_product(X, pp.q, square)
+    assert (plan.block, plan.blocks, plan.limbs) == (1 << 16, 16, 1)
+    held = (1 if square else 2) * plan.blocks * plan.limbs * (plan.block + 1) * 16
+    tracemalloc.start()
+    try:
+        series_mul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < held + 2 * (X + 1) * 8 + 8 * (plan.n // 2 + 1) * 16
+
+
+@pytest.mark.parametrize("X", [(1 << 15) - 1, (1 << 15) + 1, 40000, 250000])
+@pytest.mark.parametrize("ell, m", [(11, 1), (3, 7)])
+def test_blocked_builds_match_one_block_builds(tmp_path, monkeypatch, ell, m, X):
+    # every weight, built in blocks and on one transform of the least power
+    # of two >= 2X: the same residues
+    pp = PrimePower(ell, m)
+    blocked = {w: eigenform_coeffs(w, X, pp, cache_dir=str(tmp_path / "blocked")).coeffs for w in SUPPORTED_WEIGHTS}
+    assert series._layout(X)[2] == {(1 << 15) - 1: 1, (1 << 15) + 1: 2, 40000: 2, 250000: 8}[X]
+    monkeypatch.setattr(series, "_BLOCK_MIN", 1 << 62)
+    for w in SUPPORTED_WEIGHTS:
+        one = eigenform_coeffs(w, X, pp, cache_dir=str(tmp_path / "one")).coeffs
+        assert one.tobytes() == blocked[w].tobytes(), w
+
+
 def test_random_evaluation_catches_a_wrong_coefficient(monkeypatch):
+    # one block on a transform of length 1024, then blocks of 2^6: five
+    # output blocks of one limb sum each, on transforms of length 128
     pp = PrimePower(3, 7)
     rng = np.random.default_rng(5)
     X = 300
     a = new_series(pp, rng.integers(0, pp.q, X + 1))
     b = new_series(pp, rng.integers(0, pp.q, X + 1))
-    irfft = np.fft.irfft
-    for index in (5, -1):  # inside the truncated product and in the discarded tail
+    irfft, value_at = np.fft.irfft, series._value_at
+    for block, layout in ((series._BLOCK_MIN, (1024, 1)), (1 << 6, (128, 5))):
+        monkeypatch.setattr(series, "_BLOCK_MIN", block)
+        monkeypatch.setattr(series, "_value_at", value_at)
+        plan = _plan_product(X, pp.q)
+        assert (plan.n, plan.blocks) == layout
+        # inside the block, in the high half carried into the next block
+        # (with one block, the discarded tail) and at the last entry, of
+        # every block sum
+        for index in (5, plan.n // 2 + 5, -1):
+            for target in range(plan.blocks):
+                calls = []
 
-        def perturbed(*args, **kwargs):
-            out = irfft(*args, **kwargs)
-            out[index] += 1.0
-            return out
+                def perturbed(*args, **kwargs):
+                    out = irfft(*args, **kwargs)
+                    if len(calls) == target:
+                        out[index] += 1.0
+                    calls.append(index)
+                    return out
 
-        monkeypatch.setattr(np.fft, "irfft", perturbed)
-        with pytest.raises(ArithmeticError):
-            series_mul(a, b)
-        with pytest.raises(ArithmeticError):
-            series_mul(a, a)
-    monkeypatch.setattr(np.fft, "irfft", irfft)
-    assert np.array_equal(series_mul(a, b).coeffs, series_mul_naive(a, b).coeffs)
-    # an error that vanishes mod P escapes the evaluation, here stubbed to 0;
-    # the exact bound on |c_s| still catches it
-    from heckedens import series
-
-    monkeypatch.setattr(series, "_value_at", lambda v, bits: 0)
-    series_mul(a, b)
-
-    def huge(*args, **kwargs):
-        out = irfft(*args, **kwargs)
-        out[5] += 2.0 ** 55
-        return out
-
-    monkeypatch.setattr(np.fft, "irfft", huge)
-    with pytest.raises(ArithmeticError):
+                monkeypatch.setattr(np.fft, "irfft", perturbed)
+                with pytest.raises(ArithmeticError):
+                    series_mul(a, b)
+                calls.clear()
+                with pytest.raises(ArithmeticError):
+                    series_mul(a, a)
+        monkeypatch.setattr(np.fft, "irfft", irfft)
+        assert np.array_equal(series_mul(a, b).coeffs, series_mul_naive(a, b).coeffs)
+        # an error that vanishes mod P escapes the evaluation, here stubbed
+        # to 0; the exact bound on each |c_(t,s)| still catches it
+        monkeypatch.setattr(series, "_value_at", lambda v, bits: 0)
         series_mul(a, b)
+        for index in (5, plan.n // 2 + 5):
+
+            def huge(*args, **kwargs):
+                out = irfft(*args, **kwargs)
+                out[index] += 2.0 ** 55
+                return out
+
+            monkeypatch.setattr(np.fft, "irfft", huge)
+            with pytest.raises(ArithmeticError):
+                series_mul(a, b)
+        monkeypatch.setattr(np.fft, "irfft", irfft)
 
 
 def test_plan_at_dense_limit(monkeypatch):
-    # the planner sizes the transform buffers before any transform runs
+    # the planner sizes the blocked layout and its buffers before any transform runs
     from heckedens import series
 
     def no_transform(*args, **kwargs):
@@ -344,14 +412,87 @@ def test_plan_at_dense_limit(monkeypatch):
 
     monkeypatch.setattr(np.fft, "rfft", no_transform)
     monkeypatch.setattr(np.fft, "irfft", no_transform)
+    # 2^24 + 1 coefficients take 9 blocks of 2^21, the last one of length 1
     plan = _plan_product(1 << 24, 23)
-    assert (plan.n, plan.limbs) == (1 << 25, 1) and plan.error_bound < 0.5
+    assert (plan.n, plan.block, plan.blocks, plan.limbs) == (1 << 22, 1 << 21, 9, 1) and plan.error_bound < 0.5
     assert _plan_product(1 << 23, 2 ** 31 - 1).limbs == 4
-    # the widest modulus needs four limbs at X = 2^24, and X = 2^25 needs
-    # 2^25 complex bins per spectrum: both exceed the budget
-    for X, q in ((1 << 24, 2 ** 31 - 1), (1 << 25, 23)):
+    # 6 * 10^7 + 1 coefficients take 15 blocks of 2^22: a square holds one
+    # input's spectra and fits the budget, a general product holds both
+    plan = _plan_product(6 * 10 ** 7, 11, square=True)
+    assert (plan.n, plan.block, plan.blocks, plan.limbs) == (1 << 23, 1 << 22, 15, 1) and plan.error_bound < 0.5
+    # X = 10^8 exceeds the budget even for a square (2.4 GiB of spectra and
+    # block buffers, and 1.5 GiB of int64 arrays), and so does the widest
+    # modulus at X = 2^25, which needs five limbs
+    refused = ((6 * 10 ** 7, 11, False), (10 ** 8, 11, True), (10 ** 8, 11, False), (1 << 25, 2 ** 31 - 1, False))
+    for X, q, square in refused:
         with pytest.raises(CapacityError, match=f"limit is {series.DENSE_MAX_BYTES / 2 ** 30:.1f} GiB"):
-            _plan_product(X, q)
+            _plan_product(X, q, square)
+
+
+def test_block_layout_rule():
+    # one block while X + 1 <= 2^15, on the least power of two >= 2X; above,
+    # blocks of 2^15 doubled until there are at most 16
+    _layout = series._layout
+    assert _layout(2) == (4, 3, 1)
+    assert _layout(1 << 14) == (1 << 15, (1 << 14) + 1, 1)
+    assert _layout((1 << 15) - 1) == (1 << 16, 1 << 15, 1)
+    assert _layout(1 << 15) == (1 << 16, 1 << 15, 2)
+    assert _layout(250000) == (1 << 16, 1 << 15, 8)
+    assert _layout(16 * (1 << 15) - 1) == (1 << 16, 1 << 15, 16)
+    assert _layout(16 * (1 << 15)) == (1 << 17, 1 << 16, 9)
+    assert _layout(10 ** 6) == (1 << 17, 1 << 16, 16)
+    assert _layout(10 ** 7) == (1 << 21, 1 << 20, 10)
+    assert _layout(10 ** 8) == (1 << 24, 1 << 23, 12)
+
+
+def _forced_limbs(monkeypatch, limbs):
+    """Plan every product with `limbs` limbs; more limbs than the worst
+    case needs keep its proven bound below 1/2."""
+    plan_product = series._plan_product
+
+    def plan(X, q, square=False):
+        worst = plan_product(X, q, square)
+        L = -(-(q // 2).bit_length() // limbs)
+        bound = _rounding_bound(X, worst.n, limbs, min((1 << L) - 1, q // 2), worst.blocks)
+        assert limbs >= worst.limbs and bound < 0.5
+        return worst._replace(limbs=limbs, limb_bits=L, error_bound=bound)
+
+    monkeypatch.setattr(series, "_plan_product", plan)
+
+
+@pytest.mark.parametrize("limbs", [None, 4])
+@pytest.mark.parametrize(
+    "ell, m, inputs",
+    [
+        (3, 7, "random"),  # one limb
+        (100003, 1, "half"),  # one limb; two at X = 7680, in 16 blocks of 512
+        (2 ** 31 - 1, 1, "random"),  # two limbs
+        (2 ** 31 - 1, 1, "half"),
+    ],
+)
+def test_blocked_product_matches_naive(monkeypatch, ell, m, inputs, limbs):
+    # blocks of 2^6: X + 1 at B - 1 and B (one block), B + 1 (a last block of
+    # one coefficient), 2B and 3B + 1, square and general products
+    B = 1 << 6
+    monkeypatch.setattr(series, "_BLOCK_MIN", B)
+    if limbs:
+        _forced_limbs(monkeypatch, limbs)
+    pp = PrimePower(ell, m)
+    q = pp.q
+    rng = np.random.default_rng(q)
+    sizes = [B - 1, B, B + 1, 2 * B, 3 * B + 1] + ([7681] if q == 100003 else [])
+    for size in sizes:
+        X = size - 1
+        plan = series._plan_product(X, q)
+        assert plan.blocks == (1 if size <= B else -(-size // plan.block))
+        if limbs:
+            assert plan.limbs == limbs
+        elif q == 100003:
+            assert plan.limbs == (2 if X == 7680 else 1)
+        draw = (lambda: rng.integers(0, q, size)) if inputs == "random" else (lambda: np.full(size, q // 2))
+        a, b = new_series(pp, draw()), new_series(pp, draw())
+        assert np.array_equal(series_mul(a, b).coeffs, series_mul_naive(a, b).coeffs), (size, plan)
+        assert np.array_equal(series_mul(a, a).coeffs, series_mul_naive(a, a).coeffs), (size, plan)
 
 
 def test_eisenstein_values():
