@@ -1,8 +1,10 @@
 """Command-line entry point: tower reports, matrix counts, exact densities,
 empirical scans, and the self-verification suite.
 
-Exit codes: 0 success, 1 usage error, 2 guard violation, 3 verification
-failure.  All errors go to stderr with an `error:` prefix.
+Exit codes: 0 success, 1 usage error, 2 guard violation or out of memory,
+3 verification failure (a failed `verify` check, or a series product that
+failed its exactness check).  All errors go to stderr with an `error:`
+prefix.
 """
 
 from __future__ import annotations
@@ -273,6 +275,12 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -26,17 +26,19 @@ _MOD_BLOCK = 1 << 15
 
 
 def mod(x: np.ndarray, q: int, out: np.ndarray | None = None) -> np.ndarray:
-    """x mod q in [0, q) for an int64 array and q > 0, into out (a new array
-    by default; out=x reduces in place).  numpy's % by a scalar costs about
-    five times its floor division, so each block takes x - (x // q) q, and
-    only the quotient block is allocated besides out."""
+    """x mod q in [0, q) for an int64 array and q > 0, into out (a new int64
+    array by default; out=x reduces in place; an out of a narrower integer
+    dtype that holds q - 1 takes the residues as they are formed).  numpy's
+    % by a scalar costs about five times its floor division, so each block
+    takes x - (x // q) q in int64, and only the quotient block is allocated
+    besides out."""
     if out is None:
         out = np.empty_like(x)
     for start in range(0, len(x), _MOD_BLOCK):
         block = x[start : start + _MOD_BLOCK]
         quotient = block // q
         quotient *= q
-        np.subtract(block, quotient, out=out[start : start + _MOD_BLOCK])
+        np.subtract(block, quotient, out=out[start : start + _MOD_BLOCK], casting="unsafe")
     return out
 
 

@@ -1,13 +1,16 @@
 """Truncated q-expansions of level-1 eigenforms modulo a prime power.
 
-Modular mode stores coefficients as canonical int64 residues and multiplies
-dense series on float64 FFTs of signed limbs, in one blocked product: up
-to 2^15 coefficients form one block, longer inputs are cut into at most 16
-blocks and each output block sums the block products that land in it, so
-transforms stay cache-sized and temporaries block-sized.  Percival's
-rounding bound sets the limbs' width: one limb when the bound in the
-inputs' own norms proves it, else the fewest limbs the bound proves for
-every input.  Each block sum is then held to its exact magnitude bound and
+A modular build holds coefficients as canonical residues in the smallest
+unsigned dtype that holds q - 1, the dtype the cache stores, from its first
+step to the cache write; only `eigenform_coeffs` widens them to int64.
+Dense series multiply on float64 FFTs of signed limbs, in one blocked
+product: up to 2^15 coefficients form one block, longer inputs are cut into
+at most 16 blocks and each output block sums the block products that land
+in it, so transforms stay cache-sized and every int64 temporary, the
+widened and centred inputs included, is block-sized.  Percival's rounding
+bound sets the limbs' width: one limb when the bound in the inputs' own
+norms proves it, else the fewest limbs the bound proves for every input.
+Each block sum is then held to its exact magnitude bound and
 checked at a random point mod 2^61 - 1.  Exact mode keeps Python big
 integers for tiny ranges (X <= 10^4) and only multiplies naively.
 Modular eigenforms are cached on disk in a checksummed binary file per
@@ -53,7 +56,9 @@ _CHECK_GROUP = 4
 
 @dataclass
 class SeriesModQ:
-    """Coefficients a(0..X); modulus None means exact big-integer mode."""
+    """Coefficients a(0..X); modulus None means exact big-integer mode, else
+    residues in [0, q) of an integer dtype (int64 from `new_series`, the
+    stored dtype from products and builds)."""
 
     modulus: PrimePower | None
     coeffs: np.ndarray | list
@@ -68,6 +73,13 @@ class SeriesModQ:
 
     def __getitem__(self, i: int):
         return self.coeffs[i]
+
+
+def _stored_dtype(q: int) -> np.dtype:
+    """The dtype of residues mod q in a build and in the cache: the smallest
+    unsigned one that holds q - 1.  numpy's arithmetic on it wraps, so every
+    arithmetic step widens a block to int64 first."""
+    return np.min_scalar_type(q - 1)
 
 
 def new_series(modulus: PrimePower | None, values, X: int | None = None) -> SeriesModQ:
@@ -155,9 +167,9 @@ def _plan_product(X: int, q: int, square: bool = False) -> ProductPlan:
     (-q/2, q/2], whose bound is below 1/2 for every input.  The held spectra
     take k K (B+1) complex values per input (one input for a square); beside
     them live seven buffers of a block spectrum's size (sum, product,
-    inverse, int64 copy, numpy.fft's copies) and two int64 arrays of X + 1
-    (the centred inputs, then the output).  CapacityError comes before any
-    allocation."""
+    inverse, int64 copy, numpy.fft's copies; the inputs' widened and
+    centred blocks fit in them) and the output, X + 1 residues of the stored
+    dtype.  CapacityError comes before any allocation."""
     n, B, K = _layout(X)
     bits = (q // 2).bit_length()
     for limbs in range(1, bits + 1):
@@ -165,7 +177,7 @@ def _plan_product(X: int, q: int, square: bool = False) -> ProductPlan:
         bound = _rounding_bound(X, n, limbs, min((1 << L) - 1, q // 2), K)
         if bound < 0.5:
             break
-    nbytes = ((1 if square else 2) * limbs * K + 7) * (n // 2 + 1) * 16 + 2 * (X + 1) * 8
+    nbytes = ((1 if square else 2) * limbs * K + 7) * (n // 2 + 1) * 16 + (X + 1) * _stored_dtype(q).itemsize
     if bound >= 0.5 or nbytes > DENSE_MAX_BYTES:
         raise CapacityError(
             f"dense product at X={X}, q={q} needs {nbytes / 2 ** 30:.1f} GiB of spectra and buffers "
@@ -175,20 +187,28 @@ def _plan_product(X: int, q: int, square: bool = False) -> ProductPlan:
 
 
 def _centre(v: np.ndarray, q: int) -> np.ndarray:
-    """Residues below q shifted to (-q/2, q/2]."""
+    """Residues below q, of any integer dtype, shifted to (-q/2, q/2] as
+    int64."""
+    v = v.astype(np.int64)
     return v - q * (v > q // 2)
 
 
-def _plan_from_norms(plan: ProductPlan, ca: np.ndarray, cb: np.ndarray, q: int) -> ProductPlan:
+def _plan_from_norms(plan: ProductPlan, a: np.ndarray, b: np.ndarray, q: int) -> ProductPlan:
     """One limb of bits(q // 2) bits when Percival's bound, taken with the
-    exact norms of the centred inputs ca and cb, is below 1/2; else the
+    exact norms of the centred inputs a and b, is below 1/2; else the
     worst-case plan, which this can only shorten.  |a||b| bounds every block
-    sum by Cauchy-Schwarz.  The squared norms are int64 sums, exact while
-    (X+1)(q//2)^2 < 2^63; past that the plan stands."""
-    if plan.limbs == 1 or len(ca) * (q // 2) ** 2 >= 1 << 63:
+    sum by Cauchy-Schwarz.  Each block of B is centred as it is read and its
+    squared norm, an int64 dot product, is exact while B (q//2)^2 < 2^63 and
+    summed as a Python int; past that the plan stands."""
+    if plan.limbs == 1 or plan.block * (q // 2) ** 2 >= 1 << 63:
         return plan
-    na = int(np.dot(ca, ca))
-    nb = na if cb is ca else int(np.dot(cb, cb))
+
+    def norm(v):
+        blocks = (_centre(v[start : start + plan.block], q) for start in range(0, len(v), plan.block))
+        return sum(int(np.dot(c, c)) for c in blocks)
+
+    na = norm(a)
+    nb = na if b is a else norm(b)
     bound = (math.isqrt(na * nb) + 1) * _growth(plan.n, plan.blocks)
     return plan._replace(limbs=1, limb_bits=(q // 2).bit_length(), error_bound=bound) if bound < 0.5 else plan
 
@@ -237,18 +257,21 @@ def _value_at(v: np.ndarray, bits: int) -> int:
 
 
 def _fft_convolve_mod(a: np.ndarray, b: np.ndarray, q: int, X: int) -> np.ndarray:
-    """Cauchy product of a and b (each of length X+1) truncated at X, mod q.
+    """Cauchy product of residues a and b (each X+1 of them, of any integer
+    dtype) truncated at X, mod q, in the stored dtype.
 
-    The residues are centred and planned first: the worst-case plan, which
-    may raise CapacityError, then `_plan_from_norms`.  Each input is cut into
-    K blocks of length B and each block into k limbs: one limb is the centred
-    residues themselves, and with k >= 2 each centred residue is cut into k
-    signed digits of L bits.  Every limb of every block is transformed once
+    The product is planned first: the worst-case plan, which may raise
+    CapacityError, then `_plan_from_norms`.  Each input is cut into K blocks
+    of length B, each block is widened to int64 and centred as it is cut,
+    and each block into k limbs: one limb is the centred residues
+    themselves, and with k >= 2 each centred residue is cut into k signed
+    digits of L bits.  Every limb of every block is transformed once
     at length n.  For each output block t < K and limb sum s, the spectrum
     products A_(i,l) B_(j,m) with i + j = t and l + m = s are summed,
     inverted once and rounded to the integer convolution c_(t,s); block t of
     the result is the low half of sum_s c_(t,s) 2^(L s) plus the high half
-    of the same sum for t - 1, mod q.  With one block (B = X + 1) at n = 2X
+    of the same sum for t - 1, reduced mod q in int64 and stored in the
+    result's dtype.  With one block (B = X + 1) at n = 2X
     the degree-2X term wraps onto index 0 and is subtracted; with K >= 2,
     n = 2B holds every block product.  With `a is b` each pair is formed
     once and doubled.  Each c_(t,s) is held to its exact bound, then checked
@@ -258,18 +281,15 @@ def _fft_convolve_mod(a: np.ndarray, b: np.ndarray, q: int, X: int) -> np.ndarra
     ArithmeticError.
     """
     square = a is b
-    plan = _plan_product(X, q, square)
-    ca = _centre(a, q)
-    cb = ca if square else _centre(b, q)
-    n, B, K, k, L, _ = _plan_from_norms(plan, ca, cb, q)
+    n, B, K, k, L, _ = _plan_from_norms(_plan_product(X, q, square), a, b, q)
     digit = min((1 << L) - 1, q // 2)
 
-    def split(centred):
+    def split(v):
         """Per block, the spectra and values at r of its signed limbs; and
         the limbs' top coefficients."""
         spectra, values = [], []
         for start in range(0, X + 1, B):
-            block = centred[start : start + B]
+            block = _centre(v[start : start + B], q)
             if k == 1:
                 limbs = [block]
             else:
@@ -279,12 +299,11 @@ def _fft_convolve_mod(a: np.ndarray, b: np.ndarray, q: int, X: int) -> np.ndarra
             values.append([_value_at(x, L) for x in limbs])
         return spectra, values, [int(x[-1]) for x in limbs]
 
-    fa, ra, ta = split(ca)
-    fb, rb, tb = (fa, ra, ta) if square else split(cb)
-    del ca, cb
+    fa, ra, ta = split(a)
+    fb, rb, tb = (fa, ra, ta) if square else split(b)
     wrapped = n < 2 * B - 1  # one block of X + 1 at n = 2X
     r_top = pow(_check_point()[0], 2 * X, _CHECK_P) if wrapped else 0
-    out = np.empty(X + 1, dtype=np.int64)
+    out = np.empty(X + 1, dtype=_stored_dtype(q))
     carry = None
     for t in range(K):
         start = t * B
@@ -304,8 +323,9 @@ def _fft_convolve_mod(a: np.ndarray, b: np.ndarray, q: int, X: int) -> np.ndarra
                     product *= 2
                 if product is term:
                     spec += term
+            del term, product
             c = np.fft.irfft(spec, n)
-            del spec, term, product
+            del spec
             c = np.rint(c, out=c).astype(np.int64)
             top = sum(ta[l] * tb[m] for l, m in limb_pairs)
             if wrapped:
@@ -317,15 +337,16 @@ def _fft_convolve_mod(a: np.ndarray, b: np.ndarray, q: int, X: int) -> np.ndarra
                 raise ArithmeticError(
                     f"sum {s} of output block {t} of length-{n} transforms failed its check (X={X}, q={q})"
                 )
-            if k == 1:
-                acc = c[:keep]
-            elif s:
-                part = kernels.mod(c[:keep], q)
+            # with k >= 2 each limb sum is reduced in place and gathered into
+            # acc, and c is released before the next inverse transform
+            part = c[:keep] if k == 1 else kernels.mod(c[:keep], q, out=c[:keep])
+            if s:
                 part *= pow(2, L * s, q)
                 acc += part
                 kernels.mod(acc, q, out=acc)
             else:
-                acc = kernels.mod(c[:keep], q)
+                acc = part
+            del c, part
         low = acc[:B]
         if carry is not None:
             low += carry
@@ -335,8 +356,11 @@ def _fft_convolve_mod(a: np.ndarray, b: np.ndarray, q: int, X: int) -> np.ndarra
 
 
 def _naive_convolve_mod(a: np.ndarray, b: np.ndarray, q: int, X: int) -> np.ndarray:
+    """The quadratic Cauchy product of residues a and b of any integer dtype,
+    truncated at X, mod q, as int64."""
     if q >= 2 ** 31:
         return np.asarray([v % q for v in _exact_convolve(a.tolist(), b.tolist(), X)], dtype=np.int64)
+    a, b = a.astype(np.int64), b.astype(np.int64)
     # direct int64 sums over w-bit pieces of b, so (X+1)(q-1)(2^w - 1) < 2^62
     w = 62 - ((X + 1) * (q - 1)).bit_length()
     out = np.zeros(X + 1, dtype=np.int64)
@@ -375,7 +399,8 @@ def _check_compatible(a: SeriesModQ, b: SeriesModQ):
 
 
 def series_mul(a: SeriesModQ, b: SeriesModQ) -> SeriesModQ:
-    """Cauchy product truncated at X, quasi-linear for dense modular inputs."""
+    """Cauchy product truncated at X, quasi-linear for dense modular inputs;
+    modular residues come out in the stored dtype."""
     _check_compatible(a, b)
     if a.is_exact:
         return series_mul_naive(a, b)
@@ -384,7 +409,7 @@ def series_mul(a: SeriesModQ, b: SeriesModQ) -> SeriesModQ:
         # the limb recombination multiplies two residues below q in int64
         if X > NAIVE_MAX_X:
             raise CapacityError(f"dense products need q < 2^31 (got q={q}) for X > {NAIVE_MAX_X}")
-        return series_mul_naive(a, b)
+        return SeriesModQ(a.modulus, series_mul_naive(a, b).coeffs.astype(_stored_dtype(q)))
     return SeriesModQ(a.modulus, _fft_convolve_mod(a.coeffs, b.coeffs, q, X))
 
 
@@ -409,7 +434,8 @@ _EIS_FACTOR = {4: 240, 6: -504, 8: 480, 10: -264, 14: -24}
 
 
 def eisenstein(weight: int, X: int, modulus: PrimePower | None) -> SeriesModQ:
-    """E_k for k in 4, 6, 8, 10, 14, truncated at X, reduced mod q (or exact)."""
+    """E_k for k in 4, 6, 8, 10, 14, truncated at X, reduced mod q into the
+    stored dtype (or exact)."""
     if weight not in _EIS_FACTOR:
         raise ValueError(f"Eisenstein weight must be one of {tuple(_EIS_FACTOR)}, got {weight}")
     c, e = _EIS_FACTOR[weight], weight - 1
@@ -423,11 +449,13 @@ def eisenstein(weight: int, X: int, modulus: PrimePower | None) -> SeriesModQ:
             for n in range(d, X + 1, d):
                 sig[n] += de
         out = [1] + [c * s for s in sig[1:]]
-        return SeriesModQ(None, out) if modulus is None else new_series(modulus, out)
+        if modulus is None:
+            return SeriesModQ(None, out)
+        return SeriesModQ(modulus, np.array([v % modulus.q for v in out], dtype=_stored_dtype(modulus.q)))
     q = modulus.q
-    out = kernels.sigma_pow_sieve(X, e, q)
-    out *= c % q
-    kernels.mod(out, q, out=out)
+    sig = kernels.sigma_pow_sieve(X, e, q)
+    sig *= c % q
+    out = kernels.mod(sig, q, out=np.empty(X + 1, dtype=_stored_dtype(q)))
     out[0] = 1 % q
     return SeriesModQ(modulus, out)
 
@@ -447,13 +475,15 @@ def _delta(X: int, modulus: PrimePower | None) -> SeriesModQ:
         s24 = series_mul_naive(s12, s12)
         return SeriesModQ(None, [0] + s24.coeffs[:X])
     q = modulus.q
-    e6 = kernels.sparse_square(exps, coefs, X, q)
-    s6 = SeriesModQ(modulus, e6)
-    s12 = series_mul(s6, s6)
-    s24 = series_mul(s12, s12)
-    shifted = np.zeros(X + 1, dtype=np.int64)
-    shifted[1:] = s24.coeffs[:X]
-    return SeriesModQ(modulus, shifted)
+    # one live array of X + 1 at a time, in the stored dtype: each power
+    # replaces the one it squares, and the shift is in place (numpy copies
+    # an overlapping 1-d slice backwards, with no temporary)
+    eta = SeriesModQ(modulus, kernels.sparse_square(exps, coefs, X, q).astype(_stored_dtype(q)))
+    eta = series_mul(eta, eta)
+    eta = series_mul(eta, eta)
+    eta.coeffs[1:] = eta.coeffs[:X]
+    eta.coeffs[0] = 0
+    return eta
 
 
 def _build_eigenform(delta: SeriesModQ, weight: int) -> SeriesModQ:
@@ -493,7 +523,7 @@ class _Kind(NamedTuple):
 def _residue_kind(weight: int, pp: PrimePower) -> _Kind:
     """a(0..X) of the weight-w eigenform mod q: X + 1 residues, each below q."""
     return _Kind(
-        (weight, pp.ell, pp.m), np.min_scalar_type(pp.q - 1), lambda X, a: len(a) == X + 1 and a.max() < pp.q
+        (weight, pp.ell, pp.m), _stored_dtype(pp.q), lambda X, a: len(a) == X + 1 and a.max() < pp.q
     )
 
 
@@ -543,9 +573,10 @@ def _cache_read(path: str, kind: _Kind) -> tuple[int, np.ndarray] | None:
 
 
 def _cache_write(path: str, kind: _Kind, X: int, values: np.ndarray):
-    """Store values under X through a temporary file and an atomic rename,
-    unless a valid entry of at least that X is there (another process may
-    have written one since this one missed)."""
+    """Store values under X in the kind's dtype (a build's residues are in
+    it already and are written as they are) through a temporary file and an
+    atomic rename, unless a valid entry of at least that X is there
+    (another process may have written one since this one missed)."""
     current = _cache_read(path, kind)
     if current is not None and current[0] >= X:
         return
@@ -567,9 +598,9 @@ def _cache_write(path: str, kind: _Kind, X: int, values: np.ndarray):
 
 
 def _cached_residues(cache_dir: str, weight: int, X: int, pp: PrimePower) -> np.ndarray:
-    """a(0..X) of the weight-w entry: on a hit the stored residues, read-only
-    and in their stored dtype; on a miss the int64 build, written back.
-    Every weight takes Delta from the weight-12 entry, read or built."""
+    """a(0..X) of the weight-w entry in the stored dtype: on a hit the stored
+    residues, read-only; on a miss the build, written back.  Every weight
+    takes Delta from the weight-12 entry, read or built, as it is."""
     path = _cache_path(cache_dir, weight, pp)
     kind = _residue_kind(weight, pp)
     entry = _cache_read(path, kind)
@@ -578,7 +609,7 @@ def _cached_residues(cache_dir: str, weight: int, X: int, pp: PrimePower) -> np.
     if weight == 12:
         delta = _delta(X, pp)
     else:
-        delta = SeriesModQ(pp, _cached_residues(cache_dir, 12, X, pp).astype(np.int64, copy=False))
+        delta = SeriesModQ(pp, _cached_residues(cache_dir, 12, X, pp))
     out = _build_eigenform(delta, weight).coeffs
     _cache_write(path, kind, X, out)
     return out
@@ -621,7 +652,8 @@ def eigenform_coeffs(
 
     Modular results are cached on disk, one file per (weight, ell, m), and X
     is served by prefix from any cached X' >= X; the cache directory comes
-    from the argument, else HECKE_CACHE_DIR, else ./cache.
+    from the argument, else HECKE_CACHE_DIR, else ./cache.  They are
+    returned as a writeable int64 copy of the stored residues.
     """
     if weight not in SUPPORTED_WEIGHTS:
         raise ValueError(f"unsupported weight {weight}; expected one of {SUPPORTED_WEIGHTS}")
@@ -630,4 +662,4 @@ def eigenform_coeffs(
     if modulus is None:
         return _build_eigenform(_delta(X, None), weight)
     residues = _cached_residues(cache_dir_from_env(cache_dir), weight, X, modulus)
-    return SeriesModQ(modulus, residues.astype(np.int64, copy=False))
+    return SeriesModQ(modulus, residues.astype(np.int64))

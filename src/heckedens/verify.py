@@ -165,10 +165,23 @@ def check_series_oracle(X: int, blocked_X: int | None = None) -> tuple[bool, str
     t1 = time.perf_counter()
     if not np.array_equal(fast.coeffs, series._naive_convolve_mod(ra, rb, normed.q, blocked_X)):
         return False, f"blocked transform != quadratic convolution at q={normed.q}, X={blocked_X}"
-    return True, (
-        f"{detail}; mod {normed.q} at X={blocked_X} in {blocked.blocks} blocks of {blocked.block} "
+    detail += (
+        f"; mod {normed.q} at X={blocked_X} in {blocked.blocks} blocks of {blocked.block} "
         f"({t1 - t0:.3f} s) equals the quadratic convolution ({time.perf_counter() - t1:.2f} s)"
     )
+    # residues in the dtype builds hold them in, where numpy's own
+    # arithmetic would wrap, against the quadratic convolution of int64 copies
+    for pp in (PrimePower(251, 1), PrimePower(3, 7)):
+        dtype = series._stored_dtype(pp.q)
+        sa, sb = rng.integers(0, pp.q, blocked_X + 1).astype(dtype), rng.integers(0, pp.q, blocked_X + 1).astype(dtype)
+        t0 = time.perf_counter()
+        fast = series.series_mul(series.SeriesModQ(pp, sa), series.SeriesModQ(pp, sb))
+        t1 = time.perf_counter()
+        want = series._naive_convolve_mod(sa.astype(np.int64), sb.astype(np.int64), pp.q, blocked_X)
+        if not np.array_equal(fast.coeffs, want):
+            return False, f"blocked transform of {dtype} residues != quadratic convolution at q={pp.q}, X={blocked_X}"
+        detail += f"; {dtype} residues mod {pp.q} too ({t1 - t0:.3f} s, naive {time.perf_counter() - t1:.2f} s)"
+    return True, detail
 
 
 def check_eigenform_values() -> tuple[bool, str]:

@@ -128,6 +128,30 @@ def test_guard_violation_exit_code(capsys):
     assert code == 2
 
 
+def test_failed_product_check_exit_code(capsys, monkeypatch, tmp_path):
+    # a product whose random evaluation disagrees raises ArithmeticError,
+    # reported as a verification failure, not a traceback
+    rng = np.random.default_rng(3)
+    monkeypatch.setattr(series, "_value_at", lambda v, bits: int(rng.integers(1 << 61)))
+    code, out, err = run_cli(
+        capsys, "--cache-dir", str(tmp_path), "scan", "pif", "--weight", "12", "--ell", "11", "--m", "1", "--x", "1000"
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "failed its check" in err
+
+
+def test_out_of_memory_exit_code(capsys, monkeypatch, tmp_path):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.38 GiB")
+
+    monkeypatch.setattr(series, "_delta", no_memory)
+    code, out, err = run_cli(
+        capsys, "--cache-dir", str(tmp_path), "scan", "pif", "--weight", "12", "--ell", "11", "--m", "1", "--x", "1000"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: out of memory: Unable to allocate 2.38 GiB\n"
+
+
 def test_invalid_value_exit_code(capsys):
     code, _, err = run_cli(capsys, "count", "--ell", "9", "--m", "1", "--t", "0", "--d", "1")
     assert code == 1

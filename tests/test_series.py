@@ -317,8 +317,8 @@ def test_value_at_matches_horner_at_every_piece_boundary():
 @pytest.mark.parametrize("ell, m, square", [(11, 1, True), (3, 7, False)])
 def test_blocked_product_memory_is_spectra_and_block_buffers(ell, m, square):
     # at X = 10^6, 16 blocks of 2^16: the traced peak stays below the held
-    # spectra, two int64 arrays of X + 1 (the centred inputs, then the
-    # output) and eight buffers of a block spectrum's size
+    # spectra, the output's X + 1 residues in the stored dtype and eight
+    # buffers of a block spectrum's size; the inputs are centred by blocks
     pp = PrimePower(ell, m)
     X = 10 ** 6
     rng = np.random.default_rng(X)
@@ -333,7 +333,27 @@ def test_blocked_product_memory_is_spectra_and_block_buffers(ell, m, square):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < held + 2 * (X + 1) * 8 + 8 * (plan.n // 2 + 1) * 16
+    assert peak < held + (X + 1) * series._stored_dtype(pp.q).itemsize + 8 * (plan.n // 2 + 1) * 16
+
+
+def test_delta_holds_one_array_beside_its_square():
+    # Delta mod 11 at X = 10^6: eta^6, eta^12 and eta^24 replace each other,
+    # so the traced peak stays below one square's planned bytes (which count
+    # its output) and two stored arrays of X + 1
+    pp = PrimePower(11, 1)
+    X = 10 ** 6
+    plan = _plan_product(X, pp.q, square=True)
+    assert (plan.blocks, plan.limbs) == (16, 1)
+    stored = (X + 1) * series._stored_dtype(pp.q).itemsize
+    planned = (plan.blocks + 7) * (plan.n // 2 + 1) * 16 + stored
+    tracemalloc.start()
+    try:
+        delta = series._delta(X, pp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert delta.coeffs.dtype == np.uint8 and peak < planned + 2 * stored
+    assert delta.coeffs[:6].tolist() == [v % 11 for v in (0, 1, -24, 252, -1472, 4830)]
 
 
 @pytest.mark.parametrize("X", [(1 << 15) - 1, (1 << 15) + 1, 40000, 250000])
@@ -348,6 +368,9 @@ def test_blocked_builds_match_one_block_builds(tmp_path, monkeypatch, ell, m, X)
     for w in SUPPORTED_WEIGHTS:
         one = eigenform_coeffs(w, X, pp, cache_dir=str(tmp_path / "one")).coeffs
         assert one.tobytes() == blocked[w].tobytes(), w
+        # and the stored entries, written in the stored dtype, byte for byte
+        name = f"eigenform_w{w}_l{ell}_m{m}.bin"
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "blocked" / name).read_bytes(), w
 
 
 def test_random_evaluation_catches_a_wrong_coefficient(monkeypatch):
@@ -417,13 +440,19 @@ def test_plan_at_dense_limit(monkeypatch):
     assert (plan.n, plan.block, plan.blocks, plan.limbs) == (1 << 22, 1 << 21, 9, 1) and plan.error_bound < 0.5
     assert _plan_product(1 << 23, 2 ** 31 - 1).limbs == 4
     # 6 * 10^7 + 1 coefficients take 15 blocks of 2^22: a square holds one
-    # input's spectra and fits the budget, a general product holds both
-    plan = _plan_product(6 * 10 ** 7, 11, square=True)
-    assert (plan.n, plan.block, plan.blocks, plan.limbs) == (1 << 23, 1 << 22, 15, 1) and plan.error_bound < 0.5
-    # X = 10^8 exceeds the budget even for a square (2.4 GiB of spectra and
-    # block buffers, and 1.5 GiB of int64 arrays), and so does the widest
-    # modulus at X = 2^25, which needs five limbs
-    refused = ((6 * 10 ** 7, 11, False), (10 ** 8, 11, True), (10 ** 8, 11, False), (1 << 25, 2 ** 31 - 1, False))
+    # input's spectra, a general product both (2.31 GiB of spectra and block
+    # buffers and 0.06 GiB of uint8 output), and both fit the budget
+    for square in (True, False):
+        plan = _plan_product(6 * 10 ** 7, 11, square)
+        assert (plan.n, plan.block, plan.blocks, plan.limbs) == (1 << 23, 1 << 22, 15, 1) and plan.error_bound < 0.5
+    # Delta's square at X = 10^8 fits: 12 blocks of 2^23, 2.38 GiB of
+    # spectra and block buffers and 0.09 GiB of uint8 output
+    plan = _plan_product(10 ** 8, 11, square=True)
+    assert (plan.n, plan.block, plan.blocks, plan.limbs) == (1 << 24, 1 << 23, 12, 1) and plan.error_bound < 0.5
+    # a general product at X = 10^8 exceeds the budget (3.9 GiB of spectra
+    # and block buffers), and so does the widest modulus at X = 2^25, which
+    # needs five limbs
+    refused = ((10 ** 8, 11, False), (1 << 25, 2 ** 31 - 1, False))
     for X, q, square in refused:
         with pytest.raises(CapacityError, match=f"limit is {series.DENSE_MAX_BYTES / 2 ** 30:.1f} GiB"):
             _plan_product(X, q, square)
@@ -493,6 +522,49 @@ def test_blocked_product_matches_naive(monkeypatch, ell, m, inputs, limbs):
         a, b = new_series(pp, draw()), new_series(pp, draw())
         assert np.array_equal(series_mul(a, b).coeffs, series_mul_naive(a, b).coeffs), (size, plan)
         assert np.array_equal(series_mul(a, a).coeffs, series_mul_naive(a, a).coeffs), (size, plan)
+
+
+def test_centre_and_naive_product_widen_narrow_inputs():
+    # numpy's arithmetic on uint8 wraps: both widen to int64 first
+    q = 251
+    v = np.array([0, 1, q // 2, q // 2 + 1, q - 1], dtype=np.uint8)
+    centred = series._centre(v, q)
+    assert centred.dtype == np.int64 and centred.tolist() == [0, 1, 125, -125, -1]
+    X = 300
+    a = np.full(X + 1, q - 1, dtype=np.uint8)
+    b = np.full(X + 1, q // 2, dtype=np.uint8)
+    for x, y, value in ((a, a, (q - 1) ** 2), (a, b, (q - 1) * (q // 2))):
+        got = series._naive_convolve_mod(x, y, q, X)
+        # coefficient i sums i + 1 equal products
+        assert got.dtype == np.int64 and got.tolist() == [(i + 1) * value % q for i in range(X + 1)]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int64])
+@pytest.mark.parametrize("block", [None, 1 << 6])
+@pytest.mark.parametrize("limbs", [None, 4])
+def test_stored_dtype_inputs_match_naive(monkeypatch, dtype, block, limbs):
+    # residues of every stored dtype, and int64, at the values most prone to
+    # wrap (all q - 1, all q // 2) and at random; one block (X + 1 = 201) and
+    # K = 4 blocks of 2^6, the last partial; the planned limbs (one, or two
+    # for q = 2^31 - 1) and four limbs with the norm plan held off
+    if block:
+        monkeypatch.setattr(series, "_BLOCK_MIN", block)
+    if limbs:
+        _forced_limbs(monkeypatch, limbs)
+        monkeypatch.setattr(series, "_plan_from_norms", lambda plan, a, b, q: plan)
+    X = 200
+    rng = np.random.default_rng(X)
+    for q in (251, 3 ** 7, 100003, 2 ** 31 - 1):
+        if q - 1 > np.iinfo(dtype).max:
+            continue
+        plan = series._plan_product(X, q)
+        assert plan.blocks == (4 if block else 1) and plan.limbs == (limbs or (2 if q == 2 ** 31 - 1 else 1))
+        for draw in (lambda: rng.integers(0, q, X + 1), lambda: np.full(X + 1, q - 1), lambda: np.full(X + 1, q // 2)):
+            a, b = draw().astype(dtype), draw().astype(dtype)
+            for x, y in ((a, b), (a, a)):
+                got = series._fft_convolve_mod(x, y, q, X)
+                want = series._naive_convolve_mod(x.astype(np.int64), y.astype(np.int64), q, X)
+                assert got.dtype == series._stored_dtype(q) and np.array_equal(got, want), (q, x[:2], y is x)
 
 
 def test_eisenstein_values():
@@ -783,8 +855,9 @@ def test_delta_shared_across_weights(tmp_path, monkeypatch, weight):
 def test_cache_hit_residues_stay_as_stored(tmp_path, ell, m, stored):
     pp = PrimePower(ell, m)
     cdir = str(tmp_path)
+    # a miss returns the build in the stored dtype, as a hit does
     miss = series._cached_residues(cdir, 12, 300, pp)
-    assert miss.dtype == np.int64 and miss.flags.writeable
+    assert miss.dtype == stored and miss.flags.writeable
     hit = series._cached_residues(cdir, 12, 300, pp)
     assert hit.dtype == stored and not hit.flags.writeable and np.array_equal(hit, miss)
     with pytest.raises(ValueError):
