@@ -525,11 +525,13 @@ def test_blocked_product_matches_naive(monkeypatch, ell, m, inputs, limbs):
 
 
 def test_centre_and_naive_product_widen_narrow_inputs():
-    # numpy's arithmetic on uint8 wraps: both widen to int64 first
+    # numpy's arithmetic on uint8 wraps, and uint64 less int64 is float64:
+    # both widen to int64 first
     q = 251
-    v = np.array([0, 1, q // 2, q // 2 + 1, q - 1], dtype=np.uint8)
-    centred = series._centre(v, q)
-    assert centred.dtype == np.int64 and centred.tolist() == [0, 1, 125, -125, -1]
+    for dtype in (np.uint8, np.uint64):
+        v = np.array([0, 1, q // 2, q // 2 + 1, q - 1], dtype=dtype)
+        centred = series._centre(v, q)
+        assert centred.dtype == np.int64 and centred.tolist() == [0, 1, 125, -125, -1], dtype
     X = 300
     a = np.full(X + 1, q - 1, dtype=np.uint8)
     b = np.full(X + 1, q // 2, dtype=np.uint8)
