@@ -9,13 +9,11 @@ from .density import (
     PartitionStat,
     delta_F_generic,
     delta_uv_generic,
-    g_u_root_count,
     gamma_roots,
     partitions_stat,
-    sum_Ngu,
 )
 from .errors import CapacityError
-from .experiment import ScanResult, grh_error_scale, lambda_F_exact, lambda_F_mod, scan_pi_F, scan_pi_f
+from .experiment import ScanResult, scan_pi_F, scan_pi_f
 from .matcount import (
     TraceDetCount,
     ZProfile,
@@ -24,8 +22,8 @@ from .matcount import (
     z_bound_check,
     z_profile,
 )
-from .modring import ExactRational, PrimePower, mult_order, val_ell
-from .primes import prime_count, primes_in
+from .modring import PrimePower, val_ell
+from .primes import primes_in
 from .series import SeriesModQ, eigenform_coeffs, eisenstein, eta_cubed_exponents, new_series, series_mul, series_mul_naive
 from .tower import (
     TowerReport,

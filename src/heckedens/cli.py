@@ -23,7 +23,6 @@ from .errors import CapacityError
 from .experiment import scan_pi_F, scan_pi_f
 from .matcount import count_trace_det, count_trace_det_brute, z_profile
 from .modring import PrimePower
-from .series import cache_dir_from_env
 from .tower import tower_report
 
 
@@ -31,26 +30,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _read_config(path: str) -> dict[str, str]:
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
-    return out
-
-
-def _resolve_settings(args) -> dict:
-    """Precedence: flags > config file > environment > defaults."""
-    cfg = _read_config(args.config) if args.config else {}
-    return {"cache_dir": cache_dir_from_env(args.cache_dir or cfg.get("cache_dir"))}
 
 
 def _frac_fields(f: Fraction, prefix: str = "") -> dict:
@@ -65,7 +44,7 @@ def _emit_json(payload: dict, args):
     print(json.dumps(payload))
 
 
-def _cmd_tower(args, settings):
+def _cmd_tower(args):
     rep = tower_report(args.k, args.ell, args.max_m)
     if args.format == "json":
         payload = {
@@ -85,7 +64,7 @@ def _cmd_tower(args, settings):
     return 0
 
 
-def _cmd_count(args, settings):
+def _cmd_count(args):
     pp = PrimePower(args.ell, args.m)
     res = count_trace_det(pp, args.t, args.d)
     print(res.count)
@@ -106,7 +85,7 @@ def _report_payload(rep) -> dict:
     return payload
 
 
-def _cmd_density(args, settings):
+def _cmd_density(args):
     if args.which == "uv":
         rep = delta_uv_generic(args.k, PrimePower(args.ell, args.m), args.u, args.v)
     else:
@@ -130,12 +109,10 @@ def _scan_summary(res) -> dict:
         "count": counts,
         "deviation_sigmas": round(res.deviation_sigmas, 4),
         "exceptional": res.exceptional,
-        "grh_scale": res.grh_scale,
     }
     if res.mode == "pi_F":
         out["expected_num"] = str(res.expected_num)
         out["expected_den"] = str(res.expected_den)
-        out["rootset_count"] = res.rootset_count
     return out
 
 
@@ -154,13 +131,13 @@ def _write_table_csv(res, path: str):
                 )
 
 
-def _cmd_scan(args, settings):
+def _cmd_scan(args):
     pp = PrimePower(args.ell, args.m)
     if args.which == "ikeda":
-        res = scan_pi_F(LiftParams(args.k, args.n), pp, args.x, settings["cache_dir"])
+        res = scan_pi_F(LiftParams(args.k, args.n), pp, args.x, args.cache_dir)
         _emit_json(_scan_summary(res), args)
         return 0
-    res = scan_pi_f(args.weight, pp, args.x, settings["cache_dir"])
+    res = scan_pi_f(args.weight, pp, args.x, args.cache_dir)
     if args.which == "pif-cell":
         u, v = args.u % pp.q, args.v % pp.q
         payload = _scan_summary(res)
@@ -182,8 +159,8 @@ def _cmd_scan(args, settings):
     return 0
 
 
-def _cmd_verify(args, settings):
-    results = verify_mod.run(args.level, settings["cache_dir"])
+def _cmd_verify(args):
+    results = verify_mod.run(args.level, args.cache_dir)
     failed = 0
     for name, ok, detail in results:
         status = "PASS" if ok else "FAIL"
@@ -195,8 +172,7 @@ def _cmd_verify(args, settings):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="heckedens", description=__doc__)
-    parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--cache-dir", dest="cache_dir")
+    parser.add_argument("--cache-dir", dest="cache_dir", help="default: HECKE_CACHE_DIR, else ./cache")
     parser.add_argument("--format", choices=("plain", "json"), default="plain")
     parser.add_argument("--no-timestamp", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -270,8 +246,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        settings = _resolve_settings(args)
-        return args.fn(args, settings)
+        return args.fn(args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .matcount import capped_valuations, count_trace_det, discriminant_classes, pow_mod_array
-from .modring import PrimePower, mult_order
+from .modring import PrimePower
 from .series import SUPPORTED_WEIGHTS
 from .tower import GENERIC_CAVEAT, generic_L_degree
 
@@ -156,30 +156,6 @@ def _ball_roots(params: LiftParams, pp: PrimePower, units: np.ndarray) -> tuple[
         earlier |= (v >= s) & (j < ball)
     keep = (total >= m) & ~earlier
     return np.broadcast_to(units[:, None, None], w.shape)[keep], w[keep]
-
-
-def g_u_root_count(u: int, params: LiftParams, pp: PrimePower) -> tuple[np.ndarray, int]:
-    """All w mod q with g_u(w) = 0, sorted, and their number."""
-    u = gamma_roots(u, params, pp).u
-    roots = np.sort(root_cells(params, pp, np.array([u], dtype=np.int64))[1])
-    return roots, int(len(roots))
-
-
-def sum_Ngu(params: LiftParams, ell: int) -> dict:
-    """Sum over units u of the number of roots of g_u mod ell (m = 1), with
-    the small-order accounting that controls the deficit from n/2 per u."""
-    pp = PrimePower(ell, 1)
-    n = params.n
-    total = len(root_cells(params, pp)[1])
-    small_order = sum(mult_order(u, pp) <= n for u in range(1, ell))
-    if small_order > n * n:
-        raise AssertionError(f"small-order unit count {small_order} exceeds n^2 = {n*n}")
-    return {
-        "sum": total,
-        "main_term": (n // 2) * ell,
-        "small_order_units": small_order,
-        "small_order_bound": n * n,
-    }
 
 
 def delta_uv_generic(weight: int, pp: PrimePower, u: int, v: int) -> DensityReport:

@@ -6,11 +6,9 @@ Each scan reads a(0..x) from the eigenform cache as stored (uint8 or uint16
 residues, never widened as a whole) and the primes p <= x from the cache's
 prime table (uint32; sieved on a miss, or where the table holds more primes
 than x), and walks the primes p != ell in blocks of at most _BLOCK_PRIMES.
-A block widens its primes to int64, forms u = p mod q, gathers a(p) and
-the flat cell index u * q + a(p): `scan_pi_f` adds its cells into the
-(u, v) table, `scan_pi_F` reads the root-set mask of g_u there and also
-multiplies the factors a - gamma_i(u) of lambda_F, each brought into
-[0, q) by one conditional + q, since a and gamma_i(u) are residues.  The
+A block widens its primes to int64 and forms the flat cell index
+u * q + a(p), u = p mod q: `scan_pi_f` adds its cells into the (u, v)
+table, and `scan_pi_F` counts the cells in the root-set mask of g_u.  The
 stored arrays are read whole: 1 or 2 bytes per residue a(0..X) and 4 bytes
 per prime <= X', for the stored X, X' >= x.  Every int64 temporary is
 block-sized, and a table scan's q x q tables are held to DENSE_MAX_BYTES."""
@@ -24,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .density import DensityReport, LiftParams, delta_F_from_roots, gamma_table, root_cells
+from .density import DensityReport, LiftParams, delta_F_from_roots, root_cells
 from .errors import CapacityError
 from .matcount import pow_mod_array, trace_det_counts_for_det
 from .modring import PrimePower
@@ -62,8 +60,6 @@ class ScanResult:
     sigmas: np.ndarray | float
     deviation_sigmas: float
     exceptional: bool
-    grh_scale: float
-    rootset_count: int | None = None
     expected_report: DensityReport | None = None
 
     @property
@@ -71,55 +67,42 @@ class ScanResult:
         c = int(self.counts) if self.mode == "pi_F" else int(np.sum(self.counts))
         return Fraction(c, self.pi_x)
 
-
-def grh_error_scale(pp: PrimePower, x: int) -> float:
-    """Reference envelope ell^(4m) sqrt(x) log(ell^m x); reported for context,
-    never a pass/fail criterion."""
-    if x < 2:
-        raise ValueError("x must be >= 2")
-    q = pp.q
-    return float(q) ** 4 * math.sqrt(x) * math.log(q * x)
-
-
-def lambda_F_exact(a_p: int, p: int, params: LiftParams) -> int:
-    """Exact lift eigenvalue at p from the product formula."""
-    k, n = params.k, params.n
-    out = 1
-    for i in range(1, n // 2 + 1):
-        out *= a_p + p ** (k - i) + p ** (k - n - 1 + i)
-    return out
+    @property
+    def rootset_count(self) -> int | None:
+        """counts for a pi_F scan, None for a table scan.  A scan counts
+        once; this name stays only because the benchmark's scan check
+        (perfbench/workloads.py) reads it, and that file changes only with
+        a repair of the benchmark."""
+        return self.counts if self.mode == "pi_F" else None
 
 
-def lambda_F_mod(a_p: int, p: int, params: LiftParams, pp: PrimePower) -> int:
-    """The product formula reduced mod q; factors through (p mod q, a_p mod q)."""
-    q = pp.q
-    k, n = params.k, params.n
-    out = 1
-    for i in range(1, n // 2 + 1):
-        out = out * (a_p + pow(p, k - i, q) + pow(p, k - n - 1 + i, q)) % q
-    return out
-
-
-def _prime_blocks(pp: PrimePower, table: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(p, p mod q) as int64 for the primes of table other than ell, in
-    blocks of at most _BLOCK_PRIMES; ell is dropped from the block holding
-    it.  A uint32 table is widened a block at a time, an int64 one sliced."""
-    q = pp.q
-    for i in range(0, len(table), _BLOCK_PRIMES):
-        p = table[i : i + _BLOCK_PRIMES].astype(np.int64, copy=False)
-        if p[0] <= pp.ell <= p[-1]:
-            p = p[p != pp.ell]
-        # floor division by a scalar is about twice as fast as %
-        yield p, p - p // q * q
-
-
-def _scan_inputs(weight: int, pp: PrimePower, x: int, cache_dir: str | None) -> tuple[np.ndarray, np.ndarray]:
-    """a(0..x) as the cache stores them and the primes <= x from the cache's
-    prime table, after the argument checks."""
+def _prime_cells(weight: int, pp: PrimePower, x: int, cache_dir: str | None) -> tuple[Iterator[np.ndarray], int]:
+    """The flat cell index u * q + a(p), u = p mod q, as int64 for the primes
+    p <= x other than ell, in blocks of at most _BLOCK_PRIMES, and their
+    number, after the argument checks.  a(0..x) is read as the cache stores
+    it and the primes from the cache's prime table; a uint32 table is
+    widened a block at a time, an int64 one sliced, and ell is dropped from
+    the block holding it."""
     if x < 100:
         raise ValueError("x must be >= 100")
     cache_dir = series.cache_dir_from_env(cache_dir)
-    return series._cached_residues(cache_dir, weight, x, pp), series._cached_primes(cache_dir, x)
+    residues = series._cached_residues(cache_dir, weight, x, pp)
+    table = series._cached_primes(cache_dir, x)
+    q = pp.q
+
+    def blocks():
+        for i in range(0, len(table), _BLOCK_PRIMES):
+            p = table[i : i + _BLOCK_PRIMES].astype(np.int64, copy=False)
+            if p[0] <= pp.ell <= p[-1]:
+                p = p[p != pp.ell]
+            # floor division by a scalar is about twice as fast as %
+            cell = p - p // q * q
+            cell *= q
+            cell += residues[p]
+            yield cell
+
+    # the table holds every prime <= x, so ell among them iff ell <= x
+    return blocks(), len(table) - (pp.ell <= x)
 
 
 def _expected_table(weight: int, pp: PrimePower) -> tuple[np.ndarray, int]:
@@ -163,12 +146,10 @@ def scan_pi_f(
             f"table scan mod {q} needs {nbytes / 2 ** 30:.1f} GiB of q x q tables; "
             f"the limit is {series.DENSE_MAX_BYTES / 2 ** 30:.1f} GiB"
         )
-    residues, table = _scan_inputs(weight, pp, x, cache_dir)
+    cells, pi_x = _prime_cells(weight, pp, x, cache_dir)
     counts = np.zeros(q * q, dtype=np.int64)
-    pi_x = 0
-    for p, u in _prime_blocks(pp, table):
-        np.add.at(counts, u * q + residues[p], 1)
-        pi_x += len(p)
+    for cell in cells:
+        np.add.at(counts, cell, 1)
     counts = counts.reshape(q, q)
     exp_num, exp_den = _expected_table(weight, pp)
     sigmas, dev = _deviation_table(counts, exp_num / exp_den, pi_x)
@@ -183,7 +164,6 @@ def scan_pi_f(
         sigmas=sigmas,
         deviation_sigmas=dev,
         exceptional=dev >= SIGMA_EXCEPTIONAL,
-        grh_scale=grh_error_scale(pp, x),
     )
 
 
@@ -193,47 +173,32 @@ def scan_pi_F(
     x: int,
     cache_dir: str | None = None,
 ) -> ScanResult:
-    """#{p <= x, p != ell : lambda_F(p) = 0 mod q}, counted directly from the
-    product formula and cross-counted through the root set of g_u."""
+    """#{p <= x, p != ell : lambda_F(p) = 0 mod q}.  Mod q the product
+    formula lambda_F(p) = prod_i (a(p) + p^(k-i) + p^(k-n-1+i)) is
+    g_u(a(p)) for u = p mod q, so a prime counts iff (u, a(p) mod q) is a
+    root cell of g_u; the same root cells give the exact density."""
     q = pp.q
     if q > TABLE_MAX_Q:
         raise CapacityError(f"scan needs ell^m <= {TABLE_MAX_Q}, got {q}")
-    # root-set reduction: lambda vanishes iff a_f(p) hits a root of g_(p mod q)
     root_u, root_w = root_cells(params, pp)
     root_mask = np.zeros(q * q, dtype=bool)
     root_mask[root_u * q + root_w] = True
-    gammas = gamma_table(params, q, np.arange(q, dtype=np.int64)).T
-    residues, table = _scan_inputs(params.source_weight, pp, x, cache_dir)
-    direct = rootset = pi_x = 0
-    for p, u in _prime_blocks(pp, table):
-        a = residues[p].astype(np.int64)
-        # direct: product over i of (a + p^(k-i) + p^(k-n-1+i)) = (a - gamma_i(u));
-        # a and gamma_i(u) are residues in [0, q), so one conditional + q
-        # reduces each difference
-        lam = None
-        for gamma in gammas:
-            f = a - gamma[u]
-            f += q * (f < 0)
-            lam = f if lam is None else lam * f % q
-        direct += int(np.count_nonzero(lam == 0))
-        rootset += int(np.count_nonzero(root_mask[u * q + a]))
-        pi_x += len(p)
+    cells, pi_x = _prime_cells(params.source_weight, pp, x, cache_dir)
+    count = sum(int(np.count_nonzero(root_mask[cell])) for cell in cells)
     report = delta_F_from_roots(params, pp, root_u, root_w)
     delta = float(report.delta_exact)
     sig = math.sqrt(delta * (1.0 - delta) * pi_x) if 0 < delta < 1 else 0.0
-    dev = abs(direct - delta * pi_x) / sig if sig > 0 else 0.0
+    dev = abs(count - delta * pi_x) / sig if sig > 0 else 0.0
     return ScanResult(
         mode="pi_F",
         modulus=pp,
         x=x,
         pi_x=pi_x,
-        counts=direct,
+        counts=count,
         expected_num=report.delta_exact.numerator,
         expected_den=report.delta_exact.denominator,
         sigmas=dev,
         deviation_sigmas=dev,
         exceptional=dev >= SIGMA_EXCEPTIONAL,
-        grh_scale=grh_error_scale(pp, x),
-        rootset_count=rootset,
         expected_report=report,
     )

@@ -1,14 +1,10 @@
-"""Exact arithmetic primitives: prime-power residue rings, valuations, orders."""
+"""Exact arithmetic primitives: prime-power residue rings, primality,
+factoring and valuations."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-
-# Densities use arbitrary-precision rationals throughout; group orders grow
-# like ell^(4m) and overflow doubles silently.
-ExactRational = Fraction
 
 MAX_MODULUS = 1 << 62
 
@@ -85,7 +81,9 @@ class PrimePower:
             raise ValueError(f"exponent must be positive, got {self.m}")
         if not is_prime(self.ell):
             raise ValueError(f"{self.ell} is not prime")
-        if self.ell ** self.m > MAX_MODULUS:
+        # ell >= 2, so m > 62 exceeds 2^62 without forming ell^m, which for
+        # m ~ 10^7 takes seconds
+        if self.m > 62 or self.ell ** self.m > MAX_MODULUS:
             raise ValueError(f"{self.ell}^{self.m} exceeds 2^62")
 
     @property
@@ -95,9 +93,6 @@ class PrimePower:
     @property
     def phi(self) -> int:
         return self.ell ** (self.m - 1) * (self.ell - 1)
-
-    def is_unit(self, x: int) -> bool:
-        return x % self.ell != 0
 
     def __str__(self):
         return f"{self.ell}^{self.m}" if self.m > 1 else str(self.ell)
@@ -114,15 +109,3 @@ def val_ell(x: int, ell: int, cap: int) -> int:
         x //= ell
         v += 1
     return v
-
-
-def mult_order(u: int, pp: PrimePower) -> int:
-    """Smallest r >= 1 with u^r = 1 mod q; divides phi(q)."""
-    u %= pp.q
-    if u % pp.ell == 0:
-        raise ValueError(f"{u} is not a unit mod {pp}")
-    r = pp.phi
-    for p in factorize(r):
-        while r % p == 0 and pow(u, r // p, pp.q) == 1:
-            r //= p
-    return r

@@ -60,10 +60,3 @@ def primes_in(lo: int, hi: int, segment: int | None = None) -> np.ndarray:
     if len(parts) == 1:
         return parts[0]
     return np.concatenate(parts) if parts else np.array([], dtype=np.int64)
-
-
-def prime_count(x: int) -> int:
-    """pi(x), the number of primes <= x."""
-    if x < 2:
-        return 0
-    return sum(len(seg) for seg in iter_prime_segments(2, x))

@@ -600,12 +600,19 @@ def _cache_write(path: str, kind: _Kind, X: int, values: np.ndarray):
 def _cached_residues(cache_dir: str, weight: int, X: int, pp: PrimePower) -> np.ndarray:
     """a(0..X) of the weight-w entry in the stored dtype: on a hit the stored
     residues, read-only; on a miss the build, written back.  Every weight
-    takes Delta from the weight-12 entry, read or built, as it is."""
+    takes Delta from the weight-12 entry, read or built, as it is.  A miss
+    plans its last product before any build step: weight 12 ends on a
+    square, every other weight on a general product, which needs at least
+    what a square of the same X does."""
     path = _cache_path(cache_dir, weight, pp)
     kind = _residue_kind(weight, pp)
     entry = _cache_read(path, kind)
     if entry is not None and entry[0] >= X:
         return entry[1][: X + 1]
+    if pp.q < 2 ** 31:
+        _plan_product(X, pp.q, square=weight == 12)
+    elif X > NAIVE_MAX_X:
+        raise CapacityError(f"dense products need q < 2^31 (got q={pp.q}) for X > {NAIVE_MAX_X}")
     if weight == 12:
         delta = _delta(X, pp)
     else:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import matcount, series, tower
 from .density import LiftParams, delta_F_generic, delta_uv_generic, gamma_roots, partitions_stat
-from .experiment import scan_pi_F, scan_pi_f
+from .experiment import SIGMA_PASS, scan_pi_F, scan_pi_f
 from .modring import PrimePower, is_prime
 from .primes import primes_in
 
@@ -245,16 +245,28 @@ def check_delta_F_assembly() -> tuple[bool, str]:
 
 
 def check_pi_F_identity(cache_dir=None) -> tuple[bool, str]:
-    res = scan_pi_F(LiftParams(10, 2), PrimePower(5, 1), 10 ** 4, cache_dir)
-    if res.counts != res.rootset_count:
-        return False, f"direct {res.counts} != root-set {res.rootset_count}"
-    return True, "direct eigenvalue count equals the root-set reduction"
+    x = 10 ** 4
+    ps = primes_in(2, x).tolist()
+    for (k, n), (ell, m) in (((10, 2), (5, 1)), ((12, 4), (3, 2)), ((16, 6), (7, 1))):
+        params, pp = LiftParams(k, n), PrimePower(ell, m)
+        q = pp.q
+        res = scan_pi_F(params, pp, x, cache_dir)
+        # lambda_F(p) from the product formula, in Python ints
+        a = series.eigenform_coeffs(params.source_weight, x, pp, cache_dir).coeffs.tolist()
+        count = sum(
+            math.prod(a[p] + p ** (k - i) + p ** (k - n - 1 + i) for i in range(1, n // 2 + 1)) % q == 0
+            for p in ps
+            if p != ell
+        )
+        if (res.counts, res.pi_x) != (count, len(ps) - 1):
+            return False, f"({k},{n}) mod {pp}: scan {res.counts} of {res.pi_x} != product formula {count} of {len(ps) - 1}"
+    return True, f"scan counts equal the product formula for 3 lifts at x = {x}"
 
 
 def check_statistical_scan(cache_dir=None) -> tuple[bool, str]:
     res = scan_pi_f(12, PrimePower(11, 1), 10 ** 5, cache_dir)
-    if res.deviation_sigmas > 4.0:
-        return False, f"worst cell at {res.deviation_sigmas:.2f} sigma > 4"
+    if res.deviation_sigmas > SIGMA_PASS:
+        return False, f"worst cell at {res.deviation_sigmas:.2f} sigma > {SIGMA_PASS:g}"
     return True, f"weight-12 table at ell=11 within {res.deviation_sigmas:.2f} sigma"
 
 

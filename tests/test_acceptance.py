@@ -16,7 +16,7 @@ from heckedens.density import (
     delta_uv_generic,
     partitions_stat,
 )
-from heckedens.experiment import scan_pi_F, scan_pi_f
+from heckedens.experiment import SIGMA_PASS, scan_pi_F, scan_pi_f
 from heckedens.matcount import (
     count_trace_det,
     count_trace_det_brute,
@@ -29,6 +29,7 @@ from heckedens.modring import PrimePower
 from heckedens.primes import primes_in
 from heckedens.series import eigenform_coeffs, new_series, series_mul
 from heckedens.tower import generic_L_degree, nu, r_lm, tower_index, tower_report
+from oracles import lambda_F_mod
 
 ORACLE_MODULI = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2))
 
@@ -278,10 +279,10 @@ def test_criterion_11_empirical_chebotarev(scan23, session_cache_dir):
     delta = Fraction(res.expected_num, res.expected_den)
     sigma = math.sqrt(float(delta) * (1 - float(delta)) * res.pi_x)
     dev23 = abs(res.counts - float(delta) * res.pi_x)
-    ok23 = dev23 <= 4 * sigma
+    ok23 = dev23 <= SIGMA_PASS * sigma
 
     table = scan_pi_f(12, PrimePower(11, 1), 10 ** 6, session_cache_dir)
-    ok11 = table.deviation_sigmas <= 4.0
+    ok11 = table.deviation_sigmas <= SIGMA_PASS
 
     exc = scan_pi_f(12, PrimePower(691, 1), 10 ** 5, session_cache_dir)
     ok691 = exc.exceptional and exc.deviation_sigmas >= 10.0
@@ -325,9 +326,16 @@ def test_criterion_12_performance(tmp_path):
     assert t_eig <= 60, f"eigenform took {t_eig:.1f}s"
 
 
+def _product_formula_count(params, pp, x, cache_dir):
+    """#{p <= x, p != ell : lambda_F(p) = 0 mod q}, lambda_F(p) from its
+    product formula one prime at a time."""
+    a = eigenform_coeffs(params.source_weight, x, pp, cache_dir).coeffs.tolist()
+    return sum(lambda_F_mod(a[p], p, params, pp) == 0 for p in primes_in(2, x).tolist() if p != pp.ell)
+
+
 def test_criterion_13_rootset_identity(scan23, session_cache_dir):
     res23, _ = scan23
-    assert res23.counts == res23.rootset_count
+    assert res23.counts == _product_formula_count(LiftParams(10, 2), PrimePower(23, 1), 10 ** 6, session_cache_dir)
     configs = [
         (LiftParams(10, 2), PrimePower(5, 1), 10 ** 4),
         (LiftParams(10, 2), PrimePower(2, 1), 10 ** 4),
@@ -338,5 +346,5 @@ def test_criterion_13_rootset_identity(scan23, session_cache_dir):
     ]
     for params, pp, x in configs:
         res = scan_pi_F(params, pp, x, session_cache_dir)
-        assert res.counts == res.rootset_count, f"(k,n)=({params.k},{params.n}), q={pp.q}"
-    _report(13, True, f"direct eigenvalue count = root-set reduction on {len(configs) + 1} configurations, exactly")
+        assert res.counts == _product_formula_count(params, pp, x, session_cache_dir), f"(k,n)=({params.k},{params.n}), q={pp.q}"
+    _report(13, True, f"root-set count = product-formula count on {len(configs) + 1} configurations, exactly")

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from heckedens import series, verify
 from heckedens.cli import main
 from heckedens.density import LiftParams, delta_F_generic
 from heckedens.modring import PrimePower
+from heckedens.primes import primes_in
+from oracles import lambda_F_mod
 
 
 def run_cli(capsys, *argv):
@@ -91,8 +94,12 @@ def test_scan_ikeda_identity(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["count"] == payload["rootset_count"]
-    assert payload["grh_scale"] > 0
+    assert "rootset_count" not in payload and "grh_scale" not in payload
+    params, pp = LiftParams(10, 2), PrimePower(5, 1)
+    a = series.eigenform_coeffs(18, 10 ** 4, pp).coeffs
+    ps = [p for p in primes_in(2, 10 ** 4).tolist() if p != 5]
+    assert payload["pi_x"] == len(ps)
+    assert payload["count"] == sum(lambda_F_mod(int(a[p]), p, params, pp) == 0 for p in ps)
 
 
 def test_output_bit_identical_without_timestamp(capsys):
@@ -156,25 +163,30 @@ def test_invalid_value_exit_code(capsys):
     code, _, err = run_cli(capsys, "count", "--ell", "9", "--m", "1", "--t", "0", "--d", "1")
     assert code == 1
     assert "not prime" in err
+    # an exponent far past 2^62 is refused before 3^m is formed
+    t0 = time.perf_counter()
+    code, _, err = run_cli(capsys, "density", "ikeda", "--k", "10", "--n", "2", "--ell", "3", "--m", "1000000000")
+    assert code == 1 and "exceeds 2^62" in err
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_config_precedence(capsys, tmp_path, monkeypatch):
     env_dir = tmp_path / "from_env"
-    cfg_dir = tmp_path / "from_cfg"
     flag_dir = tmp_path / "from_flag"
     monkeypatch.setenv("HECKE_CACHE_DIR", str(env_dir))
-    cfg = tmp_path / "hecke.cfg"
-    cfg.write_text(f"# comment line\ncache_dir={cfg_dir}\nthreads=2\n")
 
     args = ("scan", "pif", "--weight", "12", "--ell", "5", "--m", "1", "--x", "10000")
     code, _, _ = run_cli(capsys, *args)
     assert code == 0 and env_dir.exists()
 
-    code, _, _ = run_cli(capsys, "--config", str(cfg), *args)
-    assert code == 0 and cfg_dir.exists()
-
-    code, _, _ = run_cli(capsys, "--config", str(cfg), "--cache-dir", str(flag_dir), *args)
+    code, _, _ = run_cli(capsys, "--cache-dir", str(flag_dir), *args)
     assert code == 0 and flag_dir.exists()
+
+    # there is no config file: the flag is a usage error, not ignored
+    cfg = tmp_path / "hecke.cfg"
+    cfg.write_text(f"cache_dir={tmp_path / 'from_cfg'}\n")
+    code, _, err = run_cli(capsys, "--config", str(cfg), *args)
+    assert code == 1 and err.startswith("error:") and not (tmp_path / "from_cfg").exists()
 
 
 def test_verify_quick_exit_zero(capsys):
@@ -196,6 +208,27 @@ def test_verify_failure_exit_three(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 3
     assert "FAIL stub: boom" in out
+
+
+def test_verify_identity_check_catches_a_dropped_root_cell(capsys, monkeypatch, tmp_path):
+    # the scan's one count against the product formula: a root cell missing
+    # from the scan's mask must fail the check and the verb
+    from heckedens import experiment
+
+    root_cells = experiment.root_cells
+
+    def drop_last(params, pp, units=None):
+        # the last cell of each lift the check scans, for u = -1, holds
+        # about 200 of the primes up to 10^4; some first cells hold none
+        u, w = root_cells(params, pp, units)
+        return u[:-1], w[:-1]
+
+    monkeypatch.setattr(experiment, "root_cells", drop_last)
+    ok, detail = verify.check_pi_F_identity(str(tmp_path))
+    assert not ok and "product formula" in detail
+    code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "verify", "--level", "quick")
+    assert code == 3
+    assert any(l.startswith("FAIL eigenvalue-count identity") for l in out.splitlines())
 
 
 def test_verify_prime_table_check(tmp_path):

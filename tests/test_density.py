@@ -11,17 +11,16 @@ from heckedens.density import (
     LiftParams,
     delta_F_generic,
     delta_uv_generic,
-    g_u_root_count,
     gamma_roots,
     partitions_stat,
     root_cells,
-    sum_Ngu,
 )
 from heckedens.errors import CapacityError
 from heckedens.matcount import count_trace_det
-from heckedens.modring import PrimePower, mult_order
+from heckedens.modring import PrimePower
 from heckedens.primes import primes_in
 from heckedens.tower import generic_L_degree
+from oracles import g_u_root_count, mult_order, sum_Ngu
 
 
 def test_lift_params_validation():

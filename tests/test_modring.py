@@ -1,17 +1,12 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from heckedens.modring import (
-    ExactRational,
-    PrimePower,
-    factorize,
-    is_prime,
-    mult_order,
-    val_ell,
-)
+from heckedens.modring import PrimePower, factorize, is_prime, val_ell
+from oracles import mult_order
 
 
 def test_val_ell_examples():
@@ -40,6 +35,18 @@ def test_prime_power_validation():
         PrimePower(2, 63)
     # largest allowed power of two
     assert PrimePower(2, 62).q == 1 << 62
+
+
+def test_prime_power_refuses_a_large_exponent_at_once():
+    # ell^m for m = 10^7 takes seconds to form; m > 62 is refused without it
+    t0 = time.perf_counter()
+    for m in (63, 10 ** 7, 10 ** 9):
+        with pytest.raises(ValueError, match="exceeds 2"):
+            PrimePower(3, m)
+    assert time.perf_counter() - t0 < 0.5
+    assert PrimePower(3, 39).q == 3 ** 39
+    with pytest.raises(ValueError):
+        PrimePower(3, 40)
 
 
 def test_mult_order_examples():
@@ -87,7 +94,6 @@ def test_factorize():
 
 
 def test_exact_rational_invariants():
-    assert ExactRational is Fraction
     rng = random.Random(5)
     vals = [Fraction(rng.randrange(-50, 50), rng.randrange(1, 50)) for _ in range(30)]
     for a, b, c in zip(vals, vals[1:], vals[2:]):

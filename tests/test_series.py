@@ -644,6 +644,25 @@ def test_eigenform_modular_matches_exact_large_q():
         eisenstein(4, EXACT_MAX_X + 1, PrimePower(3, 30))
 
 
+def test_cold_build_refused_before_any_step(tmp_path, monkeypatch):
+    # a miss plans its last product first: no sieve, no sparse square and
+    # no file before the refusal
+    def unexpected(*args, **kwargs):
+        raise AssertionError("build step ran before the refusal")
+
+    monkeypatch.setattr(series.kernels, "sigma_pow_sieve", unexpected)
+    monkeypatch.setattr(series.kernels, "sparse_square", unexpected)
+    cases = (
+        (18, 10 ** 8, PrimePower(11, 1)),  # Delta * E6: a general product at 10^8
+        (12, 2 ** 28, PrimePower(11, 1)),  # Delta's square at 2^28
+        (18, NAIVE_MAX_X + 1, PrimePower(3, 30)),  # q >= 2^31 past the naive range
+    )
+    for w, X, pp in cases:
+        with pytest.raises(CapacityError):
+            eigenform_coeffs(w, X, pp, str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_eigenform_guards():
     with pytest.raises(ValueError):
         eigenform_coeffs(14, 10, PrimePower(5, 1))
