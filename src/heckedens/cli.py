@@ -118,17 +118,15 @@ def _scan_summary(res) -> dict:
 
 def _write_table_csv(res, path: str):
     pp = res.modulus
-    q = pp.q
+    den = res.expected_den
     with open(path, "w") as fh:
         fh.write("u,v,count,expected_num,expected_den,sigmas\n")
-        for u in range(1, q):
+        for u in range(1, pp.q):
             if u % pp.ell == 0:
                 continue
-            for v in range(q):
-                fh.write(
-                    f"{u},{v},{res.counts[u, v]},{res.expected_num[u, v]},"
-                    f"{res.expected_den},{res.sigmas[u, v]:.6f}\n"
-                )
+            # one row of Python ints and floats, not a numpy scalar per cell
+            cells = zip(res.counts[u].tolist(), res.expected_num[u].tolist(), res.sigmas[u].tolist())
+            fh.writelines(f"{u},{v},{c},{n},{den},{s:.6f}\n" for v, (c, n, s) in enumerate(cells))
 
 
 def _cmd_scan(args):

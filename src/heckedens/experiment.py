@@ -11,7 +11,13 @@ u * q + a(p), u = p mod q: `scan_pi_f` adds its cells into the (u, v)
 table, and `scan_pi_F` counts the cells in the root-set mask of g_u.  The
 stored arrays are read whole: 1 or 2 bytes per residue a(0..X) and 4 bytes
 per prime <= X', for the stored X, X' >= x.  Every int64 temporary is
-block-sized, and a table scan's q x q tables are held to DENSE_MAX_BYTES."""
+block-sized.
+
+A table cell's expected count and sigma depend only on the discriminant
+class of t^2 - 4u^(w-1) (2m + 1 classes for odd ell): `scan_pi_f` computes
+them once per class and gathers them into its tables whole rows u, about
+_BLOCK_PRIMES cells, at a time.  Its only q x q arrays are the counts,
+expected numerators and sigmas it returns, held to DENSE_MAX_BYTES."""
 
 from __future__ import annotations
 
@@ -24,7 +30,7 @@ import numpy as np
 
 from .density import DensityReport, LiftParams, delta_F_from_roots, root_cells
 from .errors import CapacityError
-from .matcount import pow_mod_array, trace_det_counts_for_det
+from .matcount import discriminant_classes, pow_mod_array, trace_class_gather
 from .modring import PrimePower
 from . import series
 # perfbench/selftest.py patches experiment.eigenform_coeffs; the scans
@@ -38,11 +44,10 @@ SIGMA_EXCEPTIONAL = 10.0
 # primes per block of a scan's passes, as density._BLOCK_CELLS bounds the
 # root candidates: every per-prime temporary is at most this long
 _BLOCK_PRIMES = 1 << 13
-# bytes per cell of the q x q tables a table scan holds at its peak: five of
-# int64 or float64 (counts, expected numerators, densities, sigmas and their
-# denominators) and two bool masks; measured, scan_pi_f added 5.0-5.2 times
-# 8 q^2 bytes to peak RSS at q = 1009 and 2003
-_TABLE_CELL_BYTES = 5 * 8 + 2
+# bytes per cell of the q x q tables a table scan holds: the counts, expected
+# numerators and sigmas it returns, 8 bytes each; its other temporaries are
+# block-sized
+_TABLE_CELL_BYTES = 3 * 8
 
 
 @dataclass(frozen=True)
@@ -105,31 +110,6 @@ def _prime_cells(weight: int, pp: PrimePower, x: int, cache_dir: str | None) -> 
     return blocks(), len(table) - (pp.ell <= x)
 
 
-def _expected_table(weight: int, pp: PrimePower) -> tuple[np.ndarray, int]:
-    """Numerators of the generic (u, v) density table over the shared
-    denominator [L : Q]; non-unit rows are zero."""
-    q = pp.q
-    units = np.flatnonzero(np.arange(q) % pp.ell)
-    num = np.zeros((q, q), dtype=np.int64)
-    num[units] = trace_det_counts_for_det(pp, pow_mod_array(units, weight - 1, q))
-    return num, generic_L_degree(weight, pp.ell, pp.m)
-
-
-def _deviation_table(counts: np.ndarray, delta: np.ndarray, pi_x: int) -> tuple[np.ndarray, float]:
-    """(counts - delta pi_x) / sqrt(delta (1 - delta) pi_x) per cell, 0 where
-    that sigma is 0, and the largest magnitude in the table."""
-    sig = 1.0 - delta
-    sig *= delta
-    sig *= pi_x
-    np.sqrt(sig, out=sig)
-    live = sig > 0
-    sigmas = delta * pi_x
-    np.subtract(counts, sigmas, out=sigmas)
-    np.divide(sigmas, sig, out=sigmas, where=live)
-    sigmas[~live] = 0.0
-    return sigmas, float(max(sigmas.max(), -sigmas.min()))
-
-
 def scan_pi_f(
     weight: int,
     pp: PrimePower,
@@ -151,8 +131,33 @@ def scan_pi_f(
     for cell in cells:
         np.add.at(counts, cell, 1)
     counts = counts.reshape(q, q)
-    exp_num, exp_den = _expected_table(weight, pp)
-    sigmas, dev = _deviation_table(counts, exp_num / exp_den, pi_x)
+    # per class: delta = num / den, the mean delta pi_x and the sigma
+    # sqrt((1 - delta) delta pi_x), in a per-cell formula's float order; a
+    # class of sigma 0 divides a count by inf, which gives the cell sigma 0
+    exp_den = generic_L_degree(weight, pp.ell, pp.m)
+    class_num = np.array(discriminant_classes(pp.ell, pp.m)[1], dtype=np.int64)
+    delta = class_num / exp_den
+    class_sig = np.sqrt((1.0 - delta) * delta * pi_x)
+    class_mean = np.where(class_sig > 0, delta * pi_x, 0.0)
+    class_sig[class_sig == 0] = np.inf
+    gather = trace_class_gather(pp, class_num, class_mean, class_sig)
+    dets = pow_mod_array(np.arange(q, dtype=np.int64), weight - 1, q)
+    # each block of rows u gathers its cells straight into the outputs
+    exp_num = np.empty((q, q), dtype=np.int64)
+    sigmas = np.empty((q, q))
+    rows = max(1, _BLOCK_PRIMES // q)
+    mean_buf, sig_buf = np.empty((rows, q)), np.empty((rows, q))
+    dev = 0.0
+    for lo in range(0, q, rows):
+        hi = min(q, lo + rows)
+        num, sig = exp_num[lo:hi], sigmas[lo:hi]
+        _, mean, div = gather(dets[lo:hi], num, mean_buf[: hi - lo], sig_buf[: hi - lo])
+        np.subtract(counts[lo:hi], mean, out=sig)
+        np.divide(sig, div, out=sig)
+        # rows u = 0 mod ell hold no prime and expect none
+        num[-lo % pp.ell :: pp.ell] = 0
+        sig[-lo % pp.ell :: pp.ell] = 0.0
+        dev = max(dev, float(sig.max()), float(-sig.min()))
     return ScanResult(
         mode="pi_f_table",
         modulus=pp,

@@ -179,20 +179,34 @@ def discriminant_classes(ell: int, m: int) -> tuple[np.ndarray, tuple[int, ...],
     return cls, counts, profiles
 
 
-def _trace_classes(pp: PrimePower, d: int | np.ndarray) -> np.ndarray:
-    """Class of (t, d) for every trace t, along a last axis over t."""
-    d = _require_unit(pp, np.asarray(d, dtype=np.int64))
+def trace_class_gather(pp: PrimePower, *values: np.ndarray):
+    """gather(d, *outs): for per-class vectors values (indexed as the counts
+    of discriminant_classes), values[i][c] at the class c of (t, d) for
+    every trace t, along a last axis over t, into outs[i] where given.  d is
+    an int64 residue or array of them and is not checked: the classes of a
+    non-unit d mean nothing.  What does not depend on d is done here, once."""
     cls = discriminant_classes(pp.ell, pp.m)[0]
     N = len(cls)
     t = np.arange(pp.q, dtype=np.int64)
-    # t^2 - 4d with both terms reduced lies in (-N, N), and a negative index
-    # counts back from the end: the gather reads cls at t^2 - 4d mod N
-    return cls[t * t % N - (4 * d % N)[..., None]]
+    squares = t * t % N
+    # each table twice over, so that N + t^2 - 4d with both terms reduced,
+    # in [1, 2N), reads it mod N: no sign test or reduction per cell
+    cls = np.concatenate((cls, cls))
+    tables = [v[cls] for v in values]
+
+    def gather(d, *outs):
+        disc = squares + (N - 4 * d % N)[..., None]
+        outs = outs or [None] * len(tables)
+        return [np.take(table, disc, mode="clip", out=out) for table, out in zip(tables, outs, strict=True)]
+
+    return gather
 
 
 def z_profiles_for_det(pp: PrimePower, d: int) -> np.ndarray:
     """(m+1) x q matrix: row j holds z_j(t) for every trace t at fixed d."""
-    return discriminant_classes(pp.ell, pp.m)[2][_trace_classes(pp, d)].T
+    profiles = discriminant_classes(pp.ell, pp.m)[2]
+    [cls] = trace_class_gather(pp, np.arange(len(profiles)))(_require_unit(pp, np.asarray(d, dtype=np.int64)))
+    return profiles[cls].T
 
 
 def trace_det_counts_for_det(pp: PrimePower, d: int | np.ndarray) -> np.ndarray:
@@ -200,4 +214,4 @@ def trace_det_counts_for_det(pp: PrimePower, d: int | np.ndarray) -> np.ndarray:
     counts: a length-q vector for one unit d, a (len(d), q) table for an
     array of them."""
     counts = np.array(discriminant_classes(pp.ell, pp.m)[1], dtype=np.int64)
-    return counts[_trace_classes(pp, d)]
+    return trace_class_gather(pp, counts)(_require_unit(pp, np.asarray(d, dtype=np.int64)))[0]

@@ -1,12 +1,15 @@
 """Reference implementations the tests check the package against: the lift
 eigenvalue from its product formula, per-unit root counts of g_u, the
-small-order accounting of the root sum, pi(x) and multiplicative orders."""
+small-order accounting of the root sum, pi(x), multiplicative orders and a
+table scan's expected and deviation tables as whole-table passes."""
 
 import numpy as np
 
 from heckedens.density import LiftParams, gamma_roots, root_cells
+from heckedens.matcount import pow_mod_array, trace_det_counts_for_det
 from heckedens.modring import PrimePower
 from heckedens.primes import primes_in
+from heckedens.tower import generic_L_degree
 
 
 def lambda_F_exact(a_p: int, p: int, params: LiftParams) -> int:
@@ -67,3 +70,28 @@ def sum_Ngu(params: LiftParams, ell: int) -> dict:
 def prime_count(x: int) -> int:
     """pi(x), the number of primes <= x."""
     return len(primes_in(2, x)) if x >= 2 else 0
+
+
+def expected_table(weight: int, pp: PrimePower) -> tuple[np.ndarray, int]:
+    """Numerators of the generic (u, v) density table over the shared
+    denominator [L : Q]; non-unit rows are zero."""
+    q = pp.q
+    units = np.flatnonzero(np.arange(q) % pp.ell)
+    num = np.zeros((q, q), dtype=np.int64)
+    num[units] = trace_det_counts_for_det(pp, pow_mod_array(units, weight - 1, q))
+    return num, generic_L_degree(weight, pp.ell, pp.m)
+
+
+def deviation_table(counts: np.ndarray, delta: np.ndarray, pi_x: int) -> tuple[np.ndarray, float]:
+    """(counts - delta pi_x) / sqrt(delta (1 - delta) pi_x) per cell, 0 where
+    that sigma is 0, and the largest magnitude in the table."""
+    sig = 1.0 - delta
+    sig *= delta
+    sig *= pi_x
+    np.sqrt(sig, out=sig)
+    live = sig > 0
+    sigmas = delta * pi_x
+    np.subtract(counts, sigmas, out=sigmas)
+    np.divide(sigmas, sig, out=sigmas, where=live)
+    sigmas[~live] = 0.0
+    return sigmas, float(max(sigmas.max(), -sigmas.min()))

@@ -9,6 +9,7 @@ import numpy as np
 from heckedens import series, verify
 from heckedens.cli import main
 from heckedens.density import LiftParams, delta_F_generic
+from heckedens.experiment import scan_pi_f
 from heckedens.modring import PrimePower
 from heckedens.primes import primes_in
 from oracles import lambda_F_mod
@@ -85,6 +86,25 @@ def test_scan_pif_cell_and_csv(capsys, tmp_path):
     assert Fraction(int(fields[3]), int(fields[4])) == Fraction(
         int(cell["expected_num"]), int(cell["expected_den"])
     )
+
+
+@pytest.mark.parametrize("ell, m", [(5, 1), (2, 3), (7, 2)])
+def test_scan_pif_csv_matches_a_per_cell_oracle(capsys, tmp_path, ell, m):
+    # the row-list writer against the per-cell f-strings it replaced
+    out_csv = tmp_path / "table.csv"
+    argv = ["--cache-dir", str(tmp_path), "scan", "pif", "--weight", "12", "--ell", str(ell), "--m", str(m)]
+    code, _, _ = run_cli(capsys, *argv, "--x", "10000", "--csv", str(out_csv))
+    assert code == 0
+    res = scan_pi_f(12, PrimePower(ell, m), 10 ** 4, str(tmp_path))
+    q = ell ** m
+    want = ["u,v,count,expected_num,expected_den,sigmas\n"]
+    for u in range(1, q):
+        if u % ell:
+            want += [
+                f"{u},{v},{res.counts[u, v]},{res.expected_num[u, v]},{res.expected_den},{res.sigmas[u, v]:.6f}\n"
+                for v in range(q)
+            ]
+    assert out_csv.read_bytes() == "".join(want).encode()
 
 
 def test_scan_ikeda_identity(capsys):
@@ -229,6 +249,40 @@ def test_verify_identity_check_catches_a_dropped_root_cell(capsys, monkeypatch, 
     code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "verify", "--level", "quick")
     assert code == 3
     assert any(l.startswith("FAIL eigenvalue-count identity") for l in out.splitlines())
+
+
+def test_verify_identity_check_catches_a_dropped_first_root_cell(capsys, monkeypatch, tmp_path):
+    # the first cells of (10,2) mod 5, (12,4) mod 9 and (16,6) mod 7 hold no
+    # prime up to 10^4; (10,2) mod 23 holds primes in every root cell
+    from heckedens import experiment
+
+    root_cells = experiment.root_cells
+
+    def drop_first(params, pp, units=None):
+        u, w = root_cells(params, pp, units)
+        return u[1:], w[1:]
+
+    monkeypatch.setattr(experiment, "root_cells", drop_first)
+    ok, detail = verify.check_pi_F_identity(str(tmp_path))
+    assert not ok and detail.startswith("(10,2) mod 23:")
+    code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "verify", "--level", "quick")
+    assert code == 3
+    assert any(l.startswith("FAIL eigenvalue-count identity") for l in out.splitlines())
+
+
+def test_verify_statistical_scan_checks_the_expected_table(monkeypatch, tmp_path):
+    from heckedens import experiment
+
+    assert verify.check_statistical_scan(str(tmp_path))[0]
+    gather = experiment.trace_class_gather
+
+    def shifted(pp, num, *values):
+        # every class takes its neighbour's count
+        return gather(pp, np.roll(num, 1), *values)
+
+    monkeypatch.setattr(experiment, "trace_class_gather", shifted)
+    ok, detail = verify.check_statistical_scan(str(tmp_path))
+    assert not ok and detail == "expected numerators of row u = 1 differ from the trace-det counts"
 
 
 def test_verify_prime_table_check(tmp_path):

@@ -9,16 +9,11 @@ import pytest
 from heckedens import experiment, primes, series
 from heckedens.density import LiftParams, delta_uv_generic
 from heckedens.errors import CapacityError
-from heckedens.experiment import (
-    ScanResult,
-    _deviation_table,
-    scan_pi_F,
-    scan_pi_f,
-)
+from heckedens.experiment import ScanResult, scan_pi_F, scan_pi_f
 from heckedens.modring import PrimePower
 from heckedens.primes import primes_in
 from heckedens.series import SUPPORTED_WEIGHTS, eigenform_coeffs
-from oracles import lambda_F_exact, lambda_F_mod
+from oracles import deviation_table, expected_table, lambda_F_exact, lambda_F_mod
 
 
 def _valid_lift_params():
@@ -117,7 +112,8 @@ def test_scan_pi_F_direct_count_matches_per_prime_product(ell, m):
 
 
 def test_deviation_table_matches_the_masked_quotient():
-    # the former two-pass formula, on seeded tables with zero-sigma cells
+    # the oracle's masked divide against the former two-pass formula, on
+    # seeded tables with zero-sigma cells
     rng = np.random.default_rng(88)
     for q, pi_x in ((5, 1228), (23, 22043), (343, 22041)):
         den = int(rng.integers(q, 50 * q))
@@ -129,9 +125,27 @@ def test_deviation_table_matches_the_masked_quotient():
         sig = np.sqrt(delta * (1.0 - delta) * pi_x)
         with np.errstate(divide="ignore", invalid="ignore"):
             old = np.where(sig > 0, (counts - delta * pi_x) / np.where(sig > 0, sig, 1.0), 0.0)
-        sigmas, dev = _deviation_table(counts, delta, pi_x)
+        sigmas, dev = deviation_table(counts, delta, pi_x)
         assert sigmas.dtype == old.dtype and sigmas.tobytes() == old.tobytes()
         assert dev == float(np.max(np.abs(old))) > 0
+
+
+@pytest.mark.parametrize("x", [10 ** 3, 10 ** 4])
+@pytest.mark.parametrize("ell, m", [(2, 1), (2, 3), (2, 5), (3, 5), (7, 3), (23, 1), (101, 1), (691, 1)])
+def test_table_scan_matches_the_whole_table_oracle(ell, m, x):
+    # the per-class gather against whole-table passes, byte for byte; the
+    # non-unit rows hold the cells of sigma 0, and mod powers of 2 their
+    # discriminants also fall in classes that count nothing
+    pp = PrimePower(ell, m)
+    for weight in SUPPORTED_WEIGHTS:
+        res = scan_pi_f(weight, pp, x)
+        num, den = expected_table(weight, pp)
+        sigmas, dev = deviation_table(res.counts, num / den, res.pi_x)
+        assert res.expected_den == den and res.expected_num.dtype == num.dtype
+        assert res.expected_num.tobytes() == num.tobytes(), weight
+        assert res.sigmas.dtype == sigmas.dtype and res.sigmas.tobytes() == sigmas.tobytes(), weight
+        assert type(res.deviation_sigmas) is float and res.deviation_sigmas == dev
+        assert res.exceptional == (dev >= experiment.SIGMA_EXCEPTIONAL)
 
 
 def test_scan_pi_F_parity_reduction_mod_two():
@@ -343,10 +357,8 @@ def test_table_scan_refuses_tables_over_the_byte_budget(tmp_path, monkeypatch):
     monkeypatch.setattr(series, "_cached_residues", _fail)
     with pytest.raises(CapacityError, match="q x q tables"):
         scan_pi_f(12, pp, 10 ** 4, cache_dir=cdir)
-    # the default budget refuses the largest moduli TABLE_MAX_Q admits
-    monkeypatch.setattr(series, "DENSE_MAX_BYTES", default)
-    with pytest.raises(CapacityError, match="q x q tables"):
-        scan_pi_f(12, PrimePower(9973, 1), 10 ** 4, cache_dir=cdir)
+    # the default budget admits the largest prime TABLE_MAX_Q admits
+    assert experiment._TABLE_CELL_BYTES * 9973 ** 2 <= default
 
 
 @pytest.mark.parametrize("scan, arg, ell", [(scan_pi_F, LiftParams(10, 2), 23), (scan_pi_f, 12, 11)])
@@ -363,3 +375,18 @@ def test_warm_scan_peak_stays_below_an_int64_prefix(tmp_path, scan, arg, ell):
     finally:
         tracemalloc.stop()
     assert peak < 8 * (X + 1)
+
+
+def test_warm_table_scan_holds_three_q_by_q_tables(tmp_path):
+    # counts, expected numerators and sigmas, 8 bytes a cell each; every
+    # other temporary is block-sized
+    pp = PrimePower(1009, 1)
+    x = 10 ** 5
+    scan_pi_f(12, pp, x, cache_dir=str(tmp_path))
+    tracemalloc.start()
+    try:
+        scan_pi_f(12, pp, x, cache_dir=str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.25 * 8 * pp.q ** 2
