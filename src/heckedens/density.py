@@ -1,6 +1,12 @@
 """Exact generic densities: the joint (p mod q, a_f(p) mod q) class density,
 roots of the lift polynomial g_u, assembly of the eigenvalue-divisibility
-density, and the partition machinery behind its decay bound."""
+density, and the partition machinery behind its decay bound.
+
+Each unit's work is done once per call: root_cells forms gamma_i(u) for
+every unit in one gamma_table call and then searches the ell-adic balls
+around them a block of units at a time, and delta_F_from_roots forms
+u^(2k-n-1) once per residue u.  The hot reductions by q are floor division,
+x - (x // q) q; the oracles in matcount and the tests keep numpy's %."""
 
 from __future__ import annotations
 
@@ -82,15 +88,20 @@ class PartitionStat:
 
 def gamma_table(params: LiftParams, q: int, u: np.ndarray) -> np.ndarray:
     """gamma_i(u) = -(u^(k-i) + u^(k-n-1+i)) mod q for i = 1..n/2, along a
-    new last axis; g_u(w) = prod_i (w - gamma_i(u))."""
-    if q * q >= 2 ** 63:
-        raise CapacityError(f"gamma_i mod {q} need q^2 < 2^63")
+    new last axis; g_u(w) = prod_i (w - gamma_i(u)).  The exponents are the
+    n consecutive k-n .. k-1, so one power and n - 1 products by u give
+    them all."""
     k, n = params.k, params.n
-    return np.stack(
-        [-(pow_mod_array(u, k - i, q) + pow_mod_array(u, k - n - 1 + i, q)) % q
-         for i in range(1, n // 2 + 1)],
-        axis=-1,
-    )
+    powers = np.empty((n,) + u.shape, dtype=np.int64)
+    powers[0] = pow_mod_array(u, k - n, q)
+    u = u - u // q * q
+    for j in range(1, n):
+        p = powers[j - 1] * u
+        powers[j] = p - p // q * q
+    # gamma_i pairs u^(k-n-1+i) = powers[i-1] with u^(k-i) = powers[n-i]
+    g = -(powers[: n // 2] + powers[n // 2 :][::-1])
+    g -= g // q * q
+    return np.moveaxis(g, 0, -1)
 
 
 def gamma_roots(u: int, params: LiftParams, pp: PrimePower) -> GammaRoots:
@@ -122,8 +133,10 @@ def root_cells(
     w is a root iff sum_i min(nu(w - gamma_i), m) >= m, so some
     nu(w - gamma_i) >= s = ceil(2m/n) and w lies in one of the n/2 balls
     gamma_i + ell^s Z/q.  Only those ell^(m-s) candidates per ball are
-    tested, and a candidate inside an earlier ball is dropped.  Units go in
-    blocks of about _BLOCK_CELLS candidates, which bounds the temporaries.
+    tested, and a candidate inside an earlier ball is dropped.  gamma_table
+    runs once, for all units: its phi(q) n/2 int64 are 8 bytes per cell that
+    density_cells counts.  Units then go in blocks of about _BLOCK_CELLS
+    candidates, which bounds the temporaries.
     """
     cells = density_cells(params, pp, pp.phi if units is None else len(units))
     if cells > DENSITY_CELLS_MAX:
@@ -132,26 +145,31 @@ def root_cells(
         )
     if units is None:
         units = np.flatnonzero(np.arange(pp.q) % pp.ell)
-    step = max(1, _BLOCK_CELLS // (params.n // 2 * pp.ell ** (pp.m - _ball_exponent(params, pp))))
+    s = _ball_exponent(params, pp)
+    gamma = gamma_table(params, pp.q, units)
+    step = max(1, _BLOCK_CELLS // (params.n // 2 * pp.ell ** (pp.m - s)))
     us, ws = [units[:0]], [units[:0]]
     for i in range(0, len(units), step):
-        u, w = _ball_roots(params, pp, units[i : i + step])
+        u, w = _ball_roots(pp, s, units[i : i + step], gamma[i : i + step])
         us.append(u)
         ws.append(w)
     return np.concatenate(us), np.concatenate(ws)
 
 
-def _ball_roots(params: LiftParams, pp: PrimePower, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ball_roots(pp: PrimePower, s: int, units: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """root_cells for one block of units, given their rows of gamma_table."""
     q, ell, m = pp.q, pp.ell, pp.m
-    h, s = params.n // 2, _ball_exponent(params, pp)
-    gamma = gamma_table(params, q, units)
-    w = (gamma[:, :, None] + ell ** s * np.arange(ell ** (m - s), dtype=np.int64)) % q
+    h = gamma.shape[1]
+    w = gamma[:, :, None] + ell ** s * np.arange(ell ** (m - s), dtype=np.int64)
+    w -= w // q * q
     vals = capped_valuations(ell, m)
     total = np.zeros(w.shape, dtype=np.int16)
     earlier = np.zeros(w.shape, dtype=bool)
     ball = np.arange(h)[:, None]
     for j in range(h):
-        v = vals[(w - gamma[:, j, None, None]) % q]
+        diff = w - gamma[:, j, None, None]
+        diff -= diff // q * q
+        v = vals[diff]
         total += v
         earlier |= (v >= s) & (j < ball)
     keep = (total >= m) & ~earlier
@@ -202,8 +220,9 @@ def delta_F_from_roots(params: LiftParams, pp: PrimePower, u: np.ndarray, w: np.
     q, ell, m = pp.q, pp.ell, pp.m
     den = generic_L_degree(wf, ell, m)
     cls, counts, _ = discriminant_classes(ell, m)
-    d = pow_mod_array(u, wf - 1, q)
-    hist = np.bincount(cls[(w * w - 4 * d) % len(cls)], minlength=len(counts))
+    disc = w * w - 4 * pow_mod_array(np.arange(q, dtype=np.int64), wf - 1, q)[u]
+    disc -= disc // len(cls) * len(cls)
+    hist = np.bincount(cls[disc], minlength=len(counts))
     num = sum(int(c) * v for c, v in zip(hist, counts))
     delta = Fraction(num, den)
     n = params.n

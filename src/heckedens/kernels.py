@@ -1,4 +1,9 @@
-"""Hot numeric kernels, vectorized with numpy."""
+"""Hot numeric kernels, vectorized with numpy.
+
+Every reduction by a scalar modulus q here is floor division, x - (x // q) q:
+numpy's int64 % by a scalar costs about five times as much.  pow_mod_array
+is the one place that checks q^2 < 2^63, the bound that keeps its products
+in int64."""
 
 from __future__ import annotations
 
@@ -11,13 +16,23 @@ BACKEND = "numpy"
 
 
 def pow_mod_array(base: np.ndarray, e: int, q: int) -> np.ndarray:
-    """Elementwise base^e mod q by squaring; needs q^2 < 2^63."""
+    """Elementwise base^e mod q in [0, q) by squaring, for an int64 base of
+    any sign and size; raises CapacityError unless q^2 < 2^63, so that every
+    product of two residues fits in int64."""
+    if q * q >= 2 ** 63:
+        from .errors import CapacityError
+
+        raise CapacityError(f"powers mod {q} need q^2 < 2^63")
+    # a quotient times q may wrap for a base near the int64 limits, but the
+    # difference is the residue in [0, q) modulo 2^64, so it comes out exact
+    base = base - base // q * q
     out = np.ones_like(base)
-    base = base % q
     while e > 0:
         if e & 1:
-            out = out * base % q
-        base = base * base % q
+            out *= base
+            out -= out // q * q
+        base *= base
+        base -= base // q * q
         e >>= 1
     return out
 

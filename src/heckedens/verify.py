@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import matcount, series, tower
-from .density import LiftParams, delta_F_generic, delta_uv_generic, gamma_roots, partitions_stat
+from .density import LiftParams, delta_F_generic, delta_uv_generic, gamma_roots, partitions_stat, root_cells
 from .experiment import SIGMA_PASS, scan_pi_F, scan_pi_f
 from .modring import PrimePower, is_prime
 from .primes import primes_in
@@ -227,7 +227,34 @@ def check_ramanujan_691(X: int, cache_dir=None) -> tuple[bool, str]:
     return True, f"tau(p) = 1 + p^11 mod 691 for all p <= {X}"
 
 
+def _lifted_roots(gammas, ell: int, m: int) -> list[int]:
+    """The roots of prod_i (w - gamma_i) mod ell^m, in Python ints, lifted
+    one ell-adic digit at a time from the roots mod ell."""
+    def g(w):
+        return math.prod(w - c for c in gammas)
+
+    roots, mod = [w for w in range(ell) if g(w) % ell == 0], ell
+    for _ in range(1, m):
+        roots = [r + t * mod for r in roots for t in range(ell) if g(r + t * mod) % (mod * ell) == 0]
+        mod *= ell
+    return sorted(roots)
+
+
 def check_delta_F_assembly() -> tuple[bool, str]:
+    # the root search over several unit blocks with n/2 = 3 balls per unit,
+    # cell for cell against digit lifting from gamma_i(u) in Python ints
+    (k, n), pp = (16, 6), PrimePower(7, 3)
+    q, ell = pp.q, pp.ell
+    want = []
+    for u in range(1, q):
+        if u % ell:
+            gammas = [-(pow(u, k - i, q) + pow(u, k - n - 1 + i, q)) for i in range(1, n // 2 + 1)]
+            want += [(u, w) for w in _lifted_roots(gammas, ell, pp.m)]
+    got_u, got_w = root_cells(LiftParams(k, n), pp)
+    got = sorted(zip(got_u.tolist(), got_w.tolist()))
+    if got != want:
+        return False, f"root_cells ({k},{n}) mod {pp} != digit-lifted roots ({len(got)} cells against {len(want)})"
+    roots_detail = f"root cells of ({k},{n}) mod {pp} equal the {len(want)} digit-lifted roots"
     params = LiftParams(10, 2)
     for ell, m in ((5, 1), (7, 1), (3, 2)):
         pp = PrimePower(ell, m)
@@ -241,7 +268,7 @@ def check_delta_F_assembly() -> tuple[bool, str]:
             total += delta_uv_generic(wf, pp, u, g).delta_exact
         if direct != total:
             return False, f"assembly mismatch at q={pp.q}: {direct} != {total}"
-    return True, "n = 2 assembly equals the sum of class densities at the roots"
+    return True, f"{roots_detail}; n = 2 assembly equals the sum of class densities at the roots"
 
 
 def check_pi_F_identity(cache_dir=None) -> tuple[bool, str]:

@@ -270,6 +270,25 @@ def test_verify_identity_check_catches_a_dropped_first_root_cell(capsys, monkeyp
     assert any(l.startswith("FAIL eigenvalue-count identity") for l in out.splitlines())
 
 
+def test_verify_assembly_check_catches_a_dropped_unit_block(capsys, monkeypatch, tmp_path):
+    # a root search that loses the block holding the last unit, q - 1: at
+    # (16,6) mod 7^3 that is the sixth of six blocks, 19 units
+    from heckedens import density
+
+    ball_roots = density._ball_roots
+
+    def drop_last_block(pp, s, units, gamma):
+        u, w = ball_roots(pp, s, units, gamma)
+        return (u[:0], w[:0]) if units[-1] == pp.q - 1 else (u, w)
+
+    monkeypatch.setattr(density, "_ball_roots", drop_last_block)
+    ok, detail = verify.check_delta_F_assembly()
+    assert not ok and detail.startswith("root_cells (16,6) mod 7^3 != digit-lifted roots")
+    code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "verify", "--level", "quick")
+    assert code == 3
+    assert any(l.startswith("FAIL Ikeda assembly: root_cells (16,6)") for l in out.splitlines())
+
+
 def test_verify_statistical_scan_checks_the_expected_table(monkeypatch, tmp_path):
     from heckedens import experiment
 

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import product
-from math import gcd, prod
+from math import gcd
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from heckedens.matcount import count_trace_det
 from heckedens.modring import PrimePower
 from heckedens.primes import primes_in
 from heckedens.tower import generic_L_degree
+from heckedens.verify import _lifted_roots
 from oracles import g_u_root_count, mult_order, sum_Ngu
 
 
@@ -112,17 +113,41 @@ def test_ball_roots_match_scan_oracle():
             assert sorted(zip(all_u.tolist(), all_w.tolist())) == list(zip(expect_u, expect_w))
 
 
-def _lift_roots(gammas, ell, m):
-    """Roots of prod(w - gamma_i) mod ell^m, lifted digit by digit."""
-    def g(w):
-        return prod(w - c for c in gammas)
+def test_root_cells_computes_gamma_once(monkeypatch):
+    # (16,6) mod 7^3: 147 candidates per unit, 55 units per block, so the
+    # 294 units span 6 blocks
+    params, pp = LiftParams(16, 6), PrimePower(7, 3)
+    full_u, full_w = root_cells(params, pp)
+    calls = []
+    gamma_table = density.gamma_table
 
-    roots = [w for w in range(ell) if g(w) % ell == 0]
-    mod = ell
-    for _ in range(1, m):
-        roots = [r + t * mod for r in roots for t in range(ell) if g(r + t * mod) % (mod * ell) == 0]
-        mod *= ell
-    return roots
+    def counted(*args):
+        calls.append(args)
+        return gamma_table(*args)
+
+    monkeypatch.setattr(density, "gamma_table", counted)
+    u, w = root_cells(params, pp)
+    assert len(calls) == 1 and pp.phi > 5 * (density._BLOCK_CELLS // 147)
+    assert u.tobytes() == full_u.tobytes() and w.tobytes() == full_w.tobytes()
+    # a units array over three blocks: the full call's cells at those units
+    units = np.flatnonzero(np.arange(pp.q) % 7)[::2][:150]
+    u, w = root_cells(params, pp, units)
+    assert len(calls) == 2
+    keep = np.isin(full_u, units)
+    assert np.array_equal(u, full_u[keep]) and np.array_equal(w, full_w[keep])
+
+
+def test_gamma_roots_refuses_q_squared_beyond_int64():
+    # the largest prime with q^2 < 2^63 is admitted, the next one refused,
+    # and so is 3^39, the largest power of 3 that PrimePower admits
+    for k, n in ((10, 2), (16, 6)):
+        params = LiftParams(k, n)
+        q = 3037000493
+        want = tuple(-(pow(5, k - i, q) + pow(5, k - n - 1 + i, q)) % q for i in range(1, n // 2 + 1))
+        assert gamma_roots(5, params, PrimePower(q, 1)).gamma == want
+        for pp in (PrimePower(3037000507, 1), PrimePower(3, 39)):
+            with pytest.raises(CapacityError):
+                gamma_roots(1, params, pp)
 
 
 def _digit_lifting_density(params, pp, count=None):
@@ -135,7 +160,7 @@ def _digit_lifting_density(params, pp, count=None):
         if u % ell == 0:
             continue
         d = pow(u, 2 * k - n - 1, q)
-        for w in _lift_roots(gamma_roots(u, params, pp).gamma, ell, m):
+        for w in _lifted_roots(gamma_roots(u, params, pp).gamma, ell, m):
             num += count(w, d)
     return Fraction(num, generic_L_degree(2 * k - n, ell, m))
 

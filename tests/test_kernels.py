@@ -4,7 +4,31 @@ import numpy as np
 import pytest
 
 from heckedens import kernels
+from heckedens.errors import CapacityError
 from heckedens.series import eta_cubed_exponents
+
+
+@pytest.mark.parametrize("q", [2, 343, 2 ** 31 - 1, 3037000499])
+def test_pow_mod_array_matches_python_pow(q):
+    # negative bases, bases >= q and the int64 extremes, where a quotient
+    # times q wraps, against Python's exact pow
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    base = np.array([lo, -q * q, -q - 1, -q, -q + 1, -2, -1, 0, 1, 2, q - 1, q, q + 1, 3 * q + 5, q * q, hi], dtype=np.int64)
+    base = np.concatenate((base, np.random.default_rng(q).integers(lo, hi, 64)))
+    before = base.copy()
+    for e in (0, 1, 2, 3, 11, 17, 25):
+        got = kernels.pow_mod_array(base, e, q)
+        assert got.dtype == np.int64
+        assert got.tolist() == [pow(b, e, q) for b in base.tolist()], e
+    assert np.array_equal(base, before)
+
+
+def test_pow_mod_array_guards_q_squared():
+    # 3037000499^2 < 2^63 <= 3037000500^2
+    base = np.array([-1, 2, 3037000498], dtype=np.int64)
+    assert kernels.pow_mod_array(base, 3, 3037000499).tolist() == [pow(b, 3, 3037000499) for b in (-1, 2, 3037000498)]
+    with pytest.raises(CapacityError):
+        kernels.pow_mod_array(base, 3, 3037000500)
 
 
 def _sigma_direct(n, e, q):
